@@ -164,6 +164,11 @@ def _batch_window_mean(a, geom: ConvGeometry):
 
 
 class Layer:
+    """A layer's train-mode forward leaves a tape for its next backward;
+    backward consumes it, and an eval-mode forward drops it."""
+
+    _tape = None
+
     def forward(self, x, train: bool):
         raise NotImplementedError
 
@@ -172,6 +177,13 @@ class Layer:
 
     def params(self) -> list[Param]:
         return []
+
+    def _pop_tape(self):
+        tape = self._tape
+        if tape is None:
+            raise RuntimeError("backward called without a train-mode forward")
+        self._tape = None
+        return tape
 
 
 class Conv2d(Layer):
@@ -209,7 +221,6 @@ class Conv2d(Layer):
             self.alpha = Param("alpha", np.ones(out_ch, dtype=np.float32))
         self.binarize_count = 0
         self.last_wtilde = None
-        self._tape = None
 
     def params(self):
         ps = [self.weight]
@@ -257,15 +268,13 @@ class Conv2d(Layer):
         if self.learned_scale and self.binarize_weights:
             pre_scale = out
             out = out * self.alpha.value[None, :, None, None]
+        self._tape = None
         if train:
             self._tape = (x.shape, cols, wtilde, alphas, K, out_hw, x if self.binarize_input else None, pre_scale)
         return np.ascontiguousarray(out)
 
     def backward(self, g):
-        if self._tape is None:
-            raise RuntimeError("backward called without a train-mode forward")
-        x_shape, cols, wtilde, alphas, K, out_hw, x_pre, pre_scale = self._tape
-        self._tape = None
+        x_shape, cols, wtilde, alphas, K, out_hw, x_pre, pre_scale = self._pop_tape()
         g = np.asarray(g)
 
         if self.learned_scale and self.binarize_weights:
@@ -306,7 +315,11 @@ class BatchNorm2d(Layer):
     """Per-channel batch normalization with affine parameters.
 
     Training uses biased batch statistics and updates running stats with
-    momentum 0.1; eval normalizes with the running stats.
+    momentum 0.1. Eval folds the running stats and the affine parameters into
+    one per-channel scale a = gamma / sqrt(var + eps) and shift
+    b = beta - mean * a, recomputed on every call, and returns x * a + b; it
+    differs from gamma * (x - mean) / sqrt(var + eps) + beta only by float32
+    rounding.
     """
 
     def __init__(self, channels, eps=1e-5, momentum=0.1):
@@ -317,7 +330,6 @@ class BatchNorm2d(Layer):
         self.beta = Param("beta", np.zeros(channels, dtype=np.float32))
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
-        self._tape = None
 
     def params(self):
         return [self.gamma, self.beta]
@@ -326,27 +338,26 @@ class BatchNorm2d(Layer):
         x = np.asarray(x)
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ShapeError(f"expected (N, {self.channels}, H, W), got {x.shape}")
-        if train:
-            mu = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            m = self.momentum
-            self.running_mean = ((1 - m) * self.running_mean + m * mu).astype(self.running_mean.dtype)
-            self.running_var = ((1 - m) * self.running_var + m * var).astype(self.running_var.dtype)
-        else:
-            mu = self.running_mean.astype(x.dtype)
-            var = self.running_var.astype(x.dtype)
+        if not train:
+            self._tape = None
+            ivar = 1.0 / np.sqrt(self.running_var.astype(x.dtype) + self.eps)
+            a = self.gamma.value * ivar
+            b = self.beta.value - self.running_mean.astype(x.dtype) * a
+            out = x * a[None, :, None, None]
+            out += b[None, :, None, None]
+            return out
+        mu = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        m = self.momentum
+        self.running_mean = ((1 - m) * self.running_mean + m * mu).astype(self.running_mean.dtype)
+        self.running_var = ((1 - m) * self.running_var + m * var).astype(self.running_var.dtype)
         ivar = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mu[None, :, None, None]) * ivar[None, :, None, None]
-        out = self.gamma.value[None, :, None, None] * xhat + self.beta.value[None, :, None, None]
-        if train:
-            self._tape = (xhat, ivar)
-        return out
+        self._tape = (xhat, ivar)
+        return self.gamma.value[None, :, None, None] * xhat + self.beta.value[None, :, None, None]
 
     def backward(self, g):
-        if self._tape is None:
-            raise RuntimeError("backward called without a train-mode forward")
-        xhat, ivar = self._tape
-        self._tape = None
+        xhat, ivar = self._pop_tape()
         g = np.asarray(g)
         m = g.shape[0] * g.shape[2] * g.shape[3]
         self.gamma.grad = (g * xhat).sum(axis=(0, 2, 3)).astype(self.gamma.value.dtype)
@@ -360,13 +371,12 @@ class BatchNorm2d(Layer):
 
 class ReLU(Layer):
     def forward(self, x, train: bool):
-        mask = np.asarray(x) > 0
-        if train:
-            self._mask = mask
-        return np.where(mask, x, 0.0).astype(np.asarray(x).dtype)
+        x = np.asarray(x)
+        self._tape = x > 0 if train else None
+        return np.maximum(x, 0, dtype=x.dtype)
 
     def backward(self, g):
-        return np.where(self._mask, g, 0.0).astype(np.asarray(g).dtype)
+        return np.where(self._pop_tape(), g, 0)
 
 
 class BinaryActivation(Layer):
@@ -375,18 +385,16 @@ class BinaryActivation(Layer):
     def __init__(self, k_bits=1, ste_variant="indicator"):
         self.k_bits = k_bits
         self.ste_variant = ste_variant
-        self._pre = None
 
     def forward(self, x, train: bool):
         x = np.asarray(x)
-        if train:
-            self._pre = x
+        self._tape = x if train else None
         if self.k_bits == 1:
             return sign(x)
         return quantize_kbit(np.clip(x, -1.0, 1.0), self.k_bits).astype(x.dtype)
 
     def backward(self, g):
-        return ste_backward_sign(g, self._pre, self.ste_variant)
+        return ste_backward_sign(g, self._pop_tape(), self.ste_variant)
 
 
 class _Pool(Layer):
@@ -396,35 +404,63 @@ class _Pool(Layer):
         if self.stride != self.size:
             raise ShapeError("pooling currently supports stride == window size")
 
-    def _blocks(self, x):
-        n, c, h, w = x.shape
+    def _out_hw(self, x_shape):
         s = self.size
-        oh, ow = h // s, w // s
+        oh, ow = x_shape[2] // s, x_shape[3] // s
         if oh < 1 or ow < 1:
-            raise ShapeError(f"pool window {s} too large for input {x.shape}")
+            raise ShapeError(f"pool window {s} too large for input {x_shape}")
+        return oh, ow
+
+    def _blocks(self, x):
+        n, c = x.shape[:2]
+        s = self.size
+        oh, ow = self._out_hw(x.shape)
         x = x[:, :, :oh * s, :ow * s]
         return x.reshape(n, c, oh, s, ow, s).transpose(0, 1, 2, 4, 3, 5), (oh, ow)
 
 
 class MaxPool2d(_Pool):
+    """Max over non-overlapping s x s windows.
+
+    Backward routes each window's gradient to one input only: the first
+    maximum in row-major window order, so ties (constant among sign
+    inputs) go to the lowest (dy, dx).
+    """
+
+    def _taps(self, oh, ow):
+        """Tap (dy, dx) of every window at once, as a strided-slice index, in
+        row-major window order; rows and columns past the last whole window
+        are dropped."""
+        s = self.size
+        return [(slice(None), slice(None), slice(dy, oh * s, s), slice(dx, ow * s, s))
+                for dy in range(s) for dx in range(s)]
+
     def forward(self, x, train: bool):
         x = np.asarray(x)
-        blocks, (oh, ow) = self._blocks(x)
-        flat = blocks.reshape(*blocks.shape[:4], -1)
-        idx = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+        taps = [x[t] for t in self._taps(*self._out_hw(x.shape))]
+        out = np.maximum(taps[0], taps[1]) if len(taps) > 1 else taps[0].copy()
+        for tap in taps[2:]:
+            np.maximum(out, tap, out=out)
+        self._tape = None
         if train:
-            self._tape = (x.shape, idx, (oh, ow))
+            # one "first max" mask per tap: equal to the max and not already
+            # claimed by an earlier tap of the same window
+            unclaimed = np.ones(out.shape, dtype=bool)
+            masks = []
+            for tap in taps:
+                mask = tap == out
+                mask &= unclaimed
+                unclaimed ^= mask
+                masks.append(mask)
+            self._tape = (x.shape, masks)
         return out
 
     def backward(self, g):
-        x_shape, idx, (oh, ow) = self._tape
-        s = self.size
-        gflat = np.zeros((*idx.shape, s * s), dtype=np.asarray(g).dtype)
-        np.put_along_axis(gflat, idx[..., None], np.asarray(g)[..., None], axis=-1)
-        gx = np.zeros(x_shape, dtype=gflat.dtype)
-        blocks = gflat.reshape(*idx.shape, s, s).transpose(0, 1, 2, 4, 3, 5)
-        gx[:, :, :oh * s, :ow * s] = blocks.reshape(x_shape[0], x_shape[1], oh * s, ow * s)
+        x_shape, masks = self._pop_tape()
+        g = np.asarray(g)
+        gx = np.zeros(x_shape, dtype=g.dtype)
+        for t, mask in zip(self._taps(*masks[0].shape[2:]), masks):
+            np.copyto(gx[t], g, where=mask)
         return gx
 
 
@@ -432,12 +468,11 @@ class AvgPool2d(_Pool):
     def forward(self, x, train: bool):
         x = np.asarray(x)
         blocks, (oh, ow) = self._blocks(x)
-        if train:
-            self._tape = (x.shape, (oh, ow))
+        self._tape = (x.shape, (oh, ow)) if train else None
         return blocks.mean(axis=(-2, -1))
 
     def backward(self, g):
-        x_shape, (oh, ow) = self._tape
+        x_shape, (oh, ow) = self._pop_tape()
         s = self.size
         g = np.asarray(g) / (s * s)
         gx = np.zeros(x_shape, dtype=g.dtype)

@@ -58,8 +58,11 @@ def as_f32(x) -> np.ndarray:
 def sign(x) -> np.ndarray:
     """Sign with the tie rule sign(0) = +1, so outputs are exactly +-1."""
     x = np.asarray(x)
-    out_dtype = x.dtype if x.dtype.kind == "f" else np.float32
-    return np.where(x >= 0, 1.0, -1.0).astype(out_dtype)
+    out = np.empty(x.shape, dtype=x.dtype if x.dtype.kind == "f" else np.float32)
+    np.greater_equal(x, 0, out=out)  # NaN compares false, so sign(NaN) = -1
+    out *= 2
+    out -= 1
+    return out
 
 
 def elementwise(op: str, a, b=None) -> np.ndarray:

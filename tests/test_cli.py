@@ -173,9 +173,13 @@ class TestBench:
         assert len(lines) > 4
 
     def test_bench_sweep_qualitative_shape(self):
-        # speedup grows with channel count; 1x1 filters are markedly slower
-        lo = bench_case(c=1, filt=3, out_extent=14, n_filters=16, seed=0, min_time=0.1)
-        hi = bench_case(c=256, filt=3, out_extent=14, n_filters=16, seed=0, min_time=0.1)
-        tiny = bench_case(c=256, filt=1, out_extent=14, n_filters=16, seed=0, min_time=0.1)
-        assert hi["speedup_measured"] > 2 * lo["speedup_measured"]
-        assert tiny["speedup_measured"] < hi["speedup_measured"]
+        # speedup grows with channel count; 1x1 filters are markedly slower.
+        # Each case keeps its best of three measurements, as timeit does:
+        # a single one is at the mercy of machine load.
+        def best_speedup(c, filt):
+            return max(bench_case(c=c, filt=filt, out_extent=14, n_filters=16, seed=0,
+                                  min_time=0.1)["speedup_measured"] for _ in range(3))
+
+        lo, hi, tiny = best_speedup(1, 3), best_speedup(256, 3), best_speedup(256, 1)
+        assert hi > 2 * lo
+        assert tiny < hi

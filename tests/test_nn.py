@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from xbnn.binarize import compute_beta_map
 from xbnn.kernels import conv_xnor_layer
@@ -154,6 +157,157 @@ class TestLoss:
         _, grad = loss_softmax_nll(logits, labels)
         fd = numeric_grad(lambda: loss_softmax_nll(logits, labels)[0], logits)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# references: the straightforward layer formulas, kept to pin the fast paths
+
+
+def reference_maxpool(x, s, g):
+    """argmax / take_along_axis max-pool: returns (output, input gradient)."""
+    n, c, h, w = x.shape
+    oh, ow = h // s, w // s
+    blocks = x[:, :, :oh * s, :ow * s].reshape(n, c, oh, s, ow, s).transpose(0, 1, 2, 4, 3, 5)
+    flat = blocks.reshape(n, c, oh, ow, s * s)
+    idx = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    gflat = np.zeros((n, c, oh, ow, s * s), dtype=g.dtype)
+    np.put_along_axis(gflat, idx[..., None], g[..., None], axis=-1)
+    gx = np.zeros(x.shape, dtype=g.dtype)
+    gx[:, :, :oh * s, :ow * s] = (gflat.reshape(n, c, oh, ow, s, s)
+                                  .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh * s, ow * s))
+    return out, gx
+
+
+def reference_relu(x, g):
+    mask = x > 0
+    return np.where(mask, x, 0.0).astype(x.dtype), np.where(mask, g, 0.0).astype(g.dtype)
+
+
+def _bcast(v):
+    return v[None, :, None, None]
+
+
+def reference_batchnorm_eval(bn, x):
+    mu = bn.running_mean.astype(x.dtype)
+    ivar = 1.0 / np.sqrt(bn.running_var.astype(x.dtype) + bn.eps)
+    return _bcast(bn.gamma.value) * ((x - _bcast(mu)) * _bcast(ivar)) + _bcast(bn.beta.value)
+
+
+def reference_batchnorm_train(gamma, beta, eps, x, g):
+    """Train forward on batch stats and its input gradient: (out, gx, dgamma, dbeta)."""
+    mu = x.mean(axis=(0, 2, 3))
+    var = x.var(axis=(0, 2, 3))
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat = (x - _bcast(mu)) * _bcast(ivar)
+    out = _bcast(gamma) * xhat + _bcast(beta)
+    m = g.shape[0] * g.shape[2] * g.shape[3]
+    gxhat = g * _bcast(gamma)
+    sum_g = gxhat.sum(axis=(0, 2, 3), keepdims=True)
+    sum_gx = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+    gx = _bcast(ivar) * (gxhat - sum_g / m - xhat * sum_gx / m)
+    return out, gx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+
+@st.composite
+def pool_cases(draw):
+    """(x, s, g): real, ReLU'd or +-1 input; H and W need not divide by s."""
+    s = draw(st.sampled_from([2, 3]))
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    oh, ow = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    h = oh * s + draw(st.integers(0, s - 1))
+    w = ow * s + draw(st.integers(0, s - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, c, h, w)).astype(np.float32)
+    kind = draw(st.sampled_from(["real", "relu", "sign"]))
+    if kind == "relu":
+        x = np.maximum(x, 0)
+    elif kind == "sign":
+        x = sign(x)
+    g = rng.normal(size=(n, c, oh, ow)).astype(np.float32)
+    return x, s, g
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(pool_cases())
+    def test_maxpool_matches_argmax_reference(self, case):
+        x, s, g = case
+        want_out, want_gx = reference_maxpool(x, s, g)
+        pool = MaxPool2d(s)
+        np.testing.assert_array_equal(pool.forward(x, train=False), want_out)
+        out = pool.forward(x, train=True)
+        np.testing.assert_array_equal(out, want_out)
+        gx = pool.backward(g)
+        assert gx.dtype == want_gx.dtype
+        np.testing.assert_array_equal(gx, want_gx)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(st.sampled_from([np.float32, np.float64]),
+                      hnp.array_shapes(min_dims=4, max_dims=4, max_side=4),
+                      elements={"allow_nan": False, "allow_infinity": False}),
+           st.integers(0, 2**32 - 1))
+    def test_relu_matches_where_reference(self, x, seed):
+        g = np.random.default_rng(seed).normal(size=x.shape).astype(x.dtype)
+        want_out, want_gx = reference_relu(x, g)
+        relu = ReLU()
+        out = relu.forward(x, train=True)
+        gx = relu.backward(g)
+        assert out.dtype == want_out.dtype and gx.dtype == want_gx.dtype
+        np.testing.assert_array_equal(out, want_out)
+        np.testing.assert_array_equal(gx, want_gx)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_batchnorm_eval_folded_within_rounding(self, c, seed):
+        # inputs follow the running stats, as eval inputs are meant to
+        rng = np.random.default_rng(seed)
+        bn = BatchNorm2d(c)
+        bn.running_mean = (rng.normal(size=c) * rng.choice([0.1, 1.0, 3.0])).astype(np.float32)
+        bn.running_var = rng.uniform(0.05, 4.0, size=c).astype(np.float32)
+        bn.gamma.value = rng.normal(size=c).astype(np.float32)
+        bn.beta.value = rng.normal(size=c).astype(np.float32)
+        spread = np.sqrt(bn.running_var) * rng.choice([0.5, 1.0, 3.0])
+        x = (_bcast(bn.running_mean) + _bcast(spread) * rng.normal(size=(4, c, 5, 5))).astype(np.float32)
+        want = reference_batchnorm_eval(bn, x)
+        out = bn.forward(x, train=False)
+        assert out.dtype == want.dtype == np.float32
+        err = np.abs(out - want).max(axis=(0, 2, 3))
+        assert np.all(err <= 1e-6 * np.abs(want).max(axis=(0, 2, 3)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batchnorm_train_bit_exact(self, dtype):
+        rng = np.random.default_rng(21)
+        bn = BatchNorm2d(3)
+        bn.gamma.value = rng.normal(size=3).astype(dtype)
+        bn.beta.value = rng.normal(size=3).astype(dtype)
+        x = (rng.normal(size=(4, 3, 5, 5)) * 2 + 1).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        out, gx, dgamma, dbeta = reference_batchnorm_train(bn.gamma.value, bn.beta.value,
+                                                           bn.eps, x, g)
+        np.testing.assert_array_equal(bn.forward(x, train=True), out)
+        np.testing.assert_array_equal(bn.backward(g), gx)
+        np.testing.assert_array_equal(bn.gamma.grad, dgamma.astype(dtype))
+        np.testing.assert_array_equal(bn.beta.grad, dbeta.astype(dtype))
+
+
+@pytest.mark.parametrize("make", [ReLU, lambda: MaxPool2d(2), lambda: AvgPool2d(2),
+                                  BinaryActivation],
+                         ids=["relu", "maxpool", "avgpool", "binactiv"])
+def test_backward_needs_its_own_train_forward(make):
+    x = np.random.default_rng(22).normal(size=(2, 3, 4, 4)).astype(np.float32)
+    layer = make()
+    g = np.ones_like(layer.forward(x, train=False))
+    with pytest.raises(RuntimeError, match="without a train-mode forward"):
+        layer.backward(g)
+    layer.forward(x, train=True)
+    layer.backward(g)
+    with pytest.raises(RuntimeError, match="without a train-mode forward"):
+        layer.backward(g)  # the tape is consumed by the first backward
+    layer.forward(x, train=True)
+    layer.forward(x, train=False)
+    with pytest.raises(RuntimeError, match="without a train-mode forward"):
+        layer.backward(g)  # an eval forward drops the earlier train tape
 
 
 class TestBatchNorm:

@@ -88,6 +88,12 @@ class TestConv2dReference:
 class TestElementwise:
     def test_sign_tie_rule(self):
         np.testing.assert_array_equal(sign(np.array([0.5, 0.0, -0.1])), [1.0, 1.0, -1.0])
+        np.testing.assert_array_equal(sign(np.array([-0.0, np.nan])), [1.0, -1.0])
+        ints = sign(np.array([3, 0, -2]))
+        assert ints.dtype == np.float32
+        np.testing.assert_array_equal(ints, [1.0, 1.0, -1.0])
+        for dtype in (np.float32, np.float64):
+            assert sign(np.array([-1.5, 2.0], dtype=dtype)).dtype == dtype
 
     def test_abs_and_mul(self):
         np.testing.assert_array_equal(elementwise("abs", np.array([-2.0, 3.0])), [2.0, 3.0])
