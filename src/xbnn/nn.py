@@ -1,9 +1,14 @@
 """Layer graph with forward/backward for training binarized CNNs.
 
-Layers operate on batched arrays of shape (N, C, H, W). Convolutions run on
-an im2col + matmul fast path (validated against the naive reference in the
-test suite); binarized layers recompute their sign/scale factorization from
-the real-valued weights on every forward, so the optimizer only ever touches
+Layers operate on batched arrays of shape (N, C, H, W). Convolutions are
+channel-major: a zero-copy strided view of the padded input gives, per image,
+the (C*fh*fw, oh*ow) column matrix with rows in the weights' own (c, fh, fw)
+order, so the forward is one W @ columns product per image, written straight
+into the (N, K, oh, ow) output. The forward copies the view into a reused
+buffer a chunk of images at a time (about 1 MiB of columns, so a chunk stays
+in L2) and never holds a whole batch of columns; the backward builds them
+once. Binarized layers recompute their sign/scale factorization from the
+real-valued weights on every forward, so the optimizer only ever touches
 real parameters. Gradients flow through the binarized weights, with the
 straight-through estimator standing in for the sign function's derivative.
 
@@ -79,10 +84,14 @@ def weight_gradient_full(upstream_wrt_wtilde, W, alpha: float, variant: str = "i
     diagonal).  Available for experimentation; not the default."""
     g = np.asarray(upstream_wrt_wtilde)
     W = np.asarray(W)
+    if g.shape != W.shape:
+        raise ShapeError(f"shape mismatch {g.shape} vs {W.shape}")
     s = sign(W)
     gate = (np.abs(W) <= 1.0).astype(g.dtype)
     if variant == "scaled":
         gate = gate * W
+    elif variant != "indicator":
+        raise ValueError(f"unknown STE variant {variant!r}")
     return s * (np.sum(g * s) / W.size) + alpha * gate * g
 
 
@@ -111,35 +120,61 @@ def loss_softmax_nll(logits, labels):
 
 
 # ---------------------------------------------------------------------------
-# batched im2col machinery
+# channel-major batched convolution
+
+# Bytes of columns one forward matmul works on: a chunk this size, W and the
+# chunk's output stay inside a 2 MiB L2 cache.
+_CHUNK_BYTES = 1 << 20
 
 
-def _batch_im2col(x, geom: ConvGeometry, pad_value: float = 0.0):
-    n, c, h, w = x.shape
-    fh, fw = geom.filt_hw
-    oh, ow = geom.out_hw((h, w))
+def _windows(x, geom: ConvGeometry, pad_value: float = 0.0):
+    """Zero-copy (N, C, fh, fw, oh, ow) view of the padded input.
+
+    For each image it is the (C*fh*fw, oh*ow) column matrix, with rows in
+    the weights' own (c, fh, fw) order. Raises ShapeError if the filter does
+    not fit the padded input.
+    """
+    geom.out_hw(x.shape[2:])
     if geom.pad:
-        x = np.pad(x, ((0, 0), (0, 0), (geom.pad, geom.pad), (geom.pad, geom.pad)),
-                   constant_values=pad_value)
-    win = np.lib.stride_tricks.sliding_window_view(x, (fh, fw), axis=(2, 3))
-    win = win[:, :, :: geom.stride, :: geom.stride]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * fh * fw)
-    return np.ascontiguousarray(cols), (oh, ow)
+        p = geom.pad
+        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=pad_value)
+    s = geom.stride
+    win = np.lib.stride_tricks.sliding_window_view(x, geom.filt_hw, axis=(2, 3))
+    return win[:, :, ::s, ::s].transpose(0, 1, 4, 5, 2, 3)
 
 
-def _batch_col2im(gcols, x_shape, geom: ConvGeometry, out_hw):
-    n, c, h, w = x_shape
-    fh, fw = geom.filt_hw
-    oh, ow = out_hw
+def _conv_windows(win, wmat):
+    """(N, K, oh, ow) = per image wmat (K, C*fh*fw) @ columns (C*fh*fw, oh*ow).
+
+    Images go through in chunks of about _CHUNK_BYTES of columns, copied
+    into one reused buffer; each image's product is the same BLAS call
+    whatever the chunk size, so chunking does not change the result.
+    """
+    n, c, fh, fw, oh, ow = win.shape
+    rows, positions = c * fh * fw, oh * ow
+    dtype = np.result_type(win.dtype, wmat.dtype)
+    wmat = wmat.astype(dtype, copy=False)
+    out = np.empty((n, wmat.shape[0], oh, ow), dtype=dtype)
+    flat_out = out.reshape(n, -1, positions)
+    chunk = max(1, min(n, _CHUNK_BYTES // (rows * positions * dtype.itemsize)))
+    buf = np.empty((chunk, c, fh, fw, oh, ow), dtype=dtype)
+    for i in range(0, n, chunk):
+        b = min(chunk, n - i)
+        np.copyto(buf[:b], win[i:i + b])
+        np.matmul(wmat, buf[:b].reshape(b, rows, positions), out=flat_out[i:i + b])
+    return out
+
+
+def _col2im(gcols, x_shape, geom: ConvGeometry):
+    """Sum (N, C, fh, fw, oh, ow) column gradients back onto the input."""
+    fh, fw, oh, ow = gcols.shape[2:]
+    h, w = x_shape[2:]
     s, p = geom.stride, geom.pad
-    g6 = gcols.reshape(n, oh, ow, c, fh, fw).transpose(0, 3, 4, 5, 1, 2)
-    gpad = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=gcols.dtype)
+    gpad = np.zeros((*x_shape[:2], h + 2 * p, w + 2 * p), dtype=gcols.dtype)
     for ky in range(fh):
         for kx in range(fw):
-            gpad[:, :, ky:ky + s * oh:s, kx:kx + s * ow:s] += g6[:, :, ky, kx]
-    if p:
-        return gpad[:, :, p:h + p, p:w + p]
-    return gpad
+            gpad[:, :, ky:ky + s * oh:s, kx:kx + s * ow:s] += gcols[:, :, ky, kx]
+    return gpad[:, :, p:h + p, p:w + p]
 
 
 def _batch_window_mean(a, geom: ConvGeometry):
@@ -195,6 +230,17 @@ class Conv2d(Layer):
     incoming tensor, computes the per-window scale map from the real input,
     and multiplies it back into the conv output; the scale map is treated as
     a constant in backward.
+
+    Both modes run the channel-major path: per image, W (K, C*fh*fw) @
+    columns (C*fh*fw, oh*ow), in image chunks of about ``_CHUNK_BYTES`` of
+    columns. Each image's product is the same BLAS call whatever the chunk,
+    so the chunk size never changes a result. Where every product is an
+    integer (+-1 inputs times +-1 weights) the output is exact; elsewhere it
+    differs from other summation orders by float rounding only. A train
+    forward keeps the strided view of the padded input on its tape; the
+    backward copies it into a full-batch column matrix once, takes the
+    weight gradient from it and scatters W.T @ g back with fh*fw strided
+    adds.
     """
 
     def __init__(self, in_ch, out_ch, filt_hw, stride=1, pad=0, *,
@@ -259,22 +305,21 @@ class Conv2d(Layer):
             # zero padding is quantized like any other input value: sign(0) = +1
             pad_value = float(quantize_kbit(0.0, self.k_bits))
 
-        cols, out_hw = _batch_im2col(conv_in, self.geom, pad_value)
-        flat = cols @ wtilde.reshape(self.out_ch, -1).T
-        out = flat.reshape(x.shape[0], *out_hw, self.out_ch).transpose(0, 3, 1, 2)
+        win = _windows(conv_in, self.geom, pad_value)
+        out = _conv_windows(win, wtilde.reshape(self.out_ch, -1))
         pre_scale = None
         if self.binarize_input:
-            out = out * K[:, None]
+            out *= K[:, None]
         if self.learned_scale and self.binarize_weights:
             pre_scale = out
             out = out * self.alpha.value[None, :, None, None]
         self._tape = None
         if train:
-            self._tape = (x.shape, cols, wtilde, alphas, K, out_hw, x if self.binarize_input else None, pre_scale)
-        return np.ascontiguousarray(out)
+            self._tape = (x.shape, win, wtilde, alphas, K, x if self.binarize_input else None, pre_scale)
+        return out
 
     def backward(self, g):
-        x_shape, cols, wtilde, alphas, K, out_hw, x_pre, pre_scale = self._pop_tape()
+        x_shape, win, wtilde, alphas, K, x_pre, pre_scale = self._pop_tape()
         g = np.asarray(g)
 
         if self.learned_scale and self.binarize_weights:
@@ -283,16 +328,16 @@ class Conv2d(Layer):
         if self.binarize_input:
             g = g * K[:, None]
 
-        gflat = g.transpose(0, 2, 3, 1).reshape(-1, self.out_ch)
-        gwtilde = (gflat.T @ cols).reshape(wtilde.shape)
+        n, positions = g.shape[0], g.shape[2] * g.shape[3]
+        g = g.reshape(n, self.out_ch, positions)
+        cols = np.ascontiguousarray(win).reshape(n, -1, positions)
+        gwtilde = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(wtilde.shape)
 
-        g_for_input = gflat
         if self.binary_gradient:
-            gb = g.reshape(g.shape[0], -1)
-            scale = np.abs(gb).max(axis=1).reshape(-1, 1, 1, 1)
-            g_for_input = (scale * sign(g)).transpose(0, 2, 3, 1).reshape(-1, self.out_ch)
-        gcols = g_for_input @ wtilde.reshape(self.out_ch, -1)
-        gx = _batch_col2im(gcols, x_shape, self.geom, out_hw)
+            scale = np.abs(g).max(axis=(1, 2)).reshape(-1, 1, 1)
+            g = scale * sign(g)
+        gcols = np.matmul(wtilde.reshape(self.out_ch, -1).T, g)
+        gx = _col2im(gcols.reshape(win.shape), x_shape, self.geom)
 
         if self.binarize_input:
             gx = ste_backward_sign(gx, x_pre, self.ste_variant)
