@@ -17,7 +17,7 @@ from .binarize import (
     compute_beta_map,
     quantize_kbit,
 )
-from .bitpack import PackedBits, pack, pack_rows, unpack, xnor_dot
+from .bitpack import PackedBits, pack, unpack, xnor_dot
 from .kernels import (
     OpCounters,
     PackedPatchMatrix,
@@ -51,7 +51,6 @@ __all__ = [
     "conv_xnor_layer",
     "count_ops",
     "pack",
-    "pack_rows",
     "quantize_kbit",
     "sign",
     "unpack",

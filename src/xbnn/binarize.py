@@ -92,24 +92,27 @@ def binary_dot_factors(X, W) -> BinaryDotFactors:
     )
 
 
-def window_sums(plane: np.ndarray, geom: ConvGeometry) -> np.ndarray:
-    """Sliding-window sums of a 2-D plane via an integral image.
+def window_mean(planes: np.ndarray, geom: ConvGeometry) -> np.ndarray:
+    """Mean of every zero-padded window of (..., H, W) planes: (..., oh, ow).
 
-    Accumulates in float64 so the fast path stays within tolerance of the
-    per-window oracle even for large windows.
+    Window sums come from an integral image accumulated in float64, so the
+    result stays within tolerance of the per-window oracle even for large
+    windows; integral differences can round below 0, so it is clamped at 0.
     """
     fh, fw = geom.filt_hw
-    oh, ow = geom.out_hw(plane.shape)
-    padded = plane
+    oh, ow = geom.out_hw(planes.shape[-2:])
     if geom.pad:
-        padded = np.pad(plane, geom.pad)
-    ii = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.float64)
-    np.cumsum(np.cumsum(padded, axis=0), axis=1, out=ii[1:, 1:])
+        p = geom.pad
+        planes = np.pad(planes, [(0, 0)] * (planes.ndim - 2) + [(p, p), (p, p)])
+    ii = np.zeros((*planes.shape[:-2], planes.shape[-2] + 1, planes.shape[-1] + 1),
+                  dtype=np.float64)
+    np.cumsum(np.cumsum(planes, axis=-2), axis=-1, out=ii[..., 1:, 1:])
     ys = np.arange(oh) * geom.stride
     xs = np.arange(ow) * geom.stride
     y0, y1 = ys[:, None], (ys + fh)[:, None]
     x0, x1 = xs[None, :], (xs + fw)[None, :]
-    return ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]
+    sums = ii[..., y1, x1] - ii[..., y0, x1] - ii[..., y1, x0] + ii[..., y0, x0]
+    return np.maximum(sums / float(fh * fw), 0.0)
 
 
 def compute_beta_map(I, geom: ConvGeometry) -> BetaMap:
@@ -118,11 +121,7 @@ def compute_beta_map(I, geom: ConvGeometry) -> BetaMap:
     of the corresponding input sub-tensor; padded positions contribute zeros,
     which attenuates border entries.
     """
-    A = channel_abs_mean(I)
-    fh, fw = geom.filt_hw
-    sums = window_sums(A, geom)
-    K = np.maximum(sums / float(fh * fw), 0.0)  # integral diffs can round below 0
-    return BetaMap(K=K.astype(np.float32))
+    return BetaMap(K=window_mean(channel_abs_mean(I), geom).astype(np.float32))
 
 
 def quantize_kbit(x, k: int):

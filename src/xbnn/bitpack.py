@@ -65,17 +65,6 @@ def unpack(pb: PackedBits) -> np.ndarray:
     return np.where(bits == 1, 1.0, -1.0).astype(np.float32)
 
 
-def pack_rows(matrix) -> list[PackedBits]:
-    """Row-wise pack of a matrix of sign vectors; empty input -> empty list."""
-    rows = [np.asarray(r) for r in matrix]
-    if not rows:
-        return []
-    n = rows[0].size
-    if any(r.size != n for r in rows):
-        raise ValueError("ragged rows: all sign vectors must have equal length")
-    return [pack(r) for r in rows]
-
-
 def xnor_dot(a: PackedBits, b: PackedBits) -> int:
     """Exact +-1 dot product via XNOR + popcount.
 
@@ -87,15 +76,3 @@ def xnor_dot(a: PackedBits, b: PackedBits) -> int:
     xnor = ~(a.words ^ b.words)
     matches = int(np.bitwise_count(xnor).sum()) - a.n_pad
     return 2 * matches - a.n
-
-
-def xnor_dot_words(a_words: np.ndarray, b_words: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized xnor_dot over word arrays whose last axis is the word axis.
-
-    Both operands must be canonical (zero pad bits). Broadcasts like numpy,
-    so a (P, W) patch matrix against a (W,) filter yields P dots at once.
-    """
-    xnor = ~(a_words ^ b_words)
-    n_pad = xnor.shape[-1] * WORD_BITS - n
-    matches = np.bitwise_count(xnor).sum(axis=-1, dtype=np.int64) - n_pad
-    return 2 * matches - n

@@ -220,10 +220,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     if not cfg.model or not cfg.data:
         raise UsageError("eval requires --model and --data")
     net = load(cfg.model)
-    try:
-        stats = ingest(cfg.data, cfg.fmt, "train").normalized().stats
-    except Exception:
-        stats = None  # fall back to the split's own stats
+    stats = ingest(cfg.data, cfg.fmt, "train").normalized().stats
     ds = ingest(cfg.data, cfg.fmt, cfg.split).normalized(stats)
     top1, topk, loss = evaluate(net, ds)
     print(f"top1={top1:.4f} top5={topk:.4f} loss={loss:.4f} n={ds.n}")

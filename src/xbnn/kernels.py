@@ -4,8 +4,10 @@ output), and XNOR convolution (packed XNOR + popcount inner loop).
 
 Both binary paths are im2col-style: receptive fields are flattened to rows
 once per layer invocation, so packing cost and the beta map are amortized
-over all filters of the layer. The per-window sliding variant is kept as a
-debug path.
+over all filters of the layer. The rows come from ``tensor.windows``, the
+same receptive-field view the batched ``nn`` layers use, and the beta map
+from ``binarize.window_mean``. Each path has one implementation, the layer
+function; the one-filter functions call it with a one-filter bank.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binarize import BetaMap, BinarizedFilter, compute_beta_map
-from .bitpack import PackedBits, _words_from_bits, pack, unpack, xnor_dot, xnor_dot_words
-from .tensor import ConvGeometry, ShapeError, conv2d_reference, pad_chw, sign
+from .binarize import BinarizedFilter, compute_beta_map
+from .bitpack import _words_from_bits, unpack
+from .tensor import ConvGeometry, ShapeError, conv2d_reference, windows
 
 __all__ = [
     "OpCounters",
@@ -25,7 +27,6 @@ __all__ = [
     "conv_binary_weight",
     "conv_binary_weight_layer",
     "conv_xnor",
-    "conv_xnor_direct",
     "conv_xnor_layer",
     "count_ops",
     "im2col",
@@ -41,12 +42,6 @@ class OpCounters:
     real_add: int = 0
     xnor_word: int = 0
     popcount_word: int = 0
-
-    def merge(self, other: "OpCounters") -> None:
-        self.real_mul += other.real_mul
-        self.real_add += other.real_add
-        self.xnor_word += other.xnor_word
-        self.popcount_word += other.popcount_word
 
 
 @dataclass(frozen=True)
@@ -66,84 +61,73 @@ class PackedPatchMatrix:
     def n_words(self) -> int:
         return self.words.shape[1]
 
-    def row(self, i: int) -> PackedBits:
-        return PackedBits(n=self.n, words=self.words[i].copy())
+
+def _check_filters(I: np.ndarray, filters: list[BinarizedFilter], geom: ConvGeometry) -> None:
+    """Every filter's channels must match the input's, and its extent the geometry's."""
+    for c, fh, fw in {f.original_shape for f in filters}:
+        if I.ndim != 3 or I.shape[0] != c:
+            raise ShapeError(f"input {I.shape} does not match filter channels {c}")
+        if (fh, fw) != tuple(geom.filt_hw):
+            raise ShapeError(f"filter extent {(fh, fw)} does not match geometry {geom.filt_hw}")
 
 
-def _check_filter(I: np.ndarray, f: BinarizedFilter, geom: ConvGeometry) -> None:
-    c, fh, fw = f.original_shape
-    if I.ndim != 3 or I.shape[0] != c:
-        raise ShapeError(f"input {I.shape} does not match filter channels {c}")
-    if (fh, fw) != tuple(geom.filt_hw):
-        raise ShapeError(f"filter extent {(fh, fw)} does not match geometry {geom.filt_hw}")
+def _rows(x: np.ndarray, geom: ConvGeometry, pad_value=0) -> np.ndarray:
+    """Every padded receptive field of one (c, h, w) image as one contiguous
+    row, in the filters' (c, fh, fw) order: (oh*ow, c*fh*fw)."""
+    win = windows(x[None], geom, pad_value)[0]  # (c, fh, fw, oh, ow)
+    oh, ow = win.shape[3:]
+    return np.ascontiguousarray(win.transpose(3, 4, 0, 1, 2).reshape(oh * ow, -1))
 
 
 def im2col(inp: np.ndarray, geom: ConvGeometry) -> np.ndarray:
-    """Flatten every zero-padded receptive field into a row: (P, c*fh*fw)."""
-    fh, fw = geom.filt_hw
-    oh, ow = geom.out_hw(inp.shape[1:])
-    padded = pad_chw(np.asarray(inp), geom.pad)
-    win = np.lib.stride_tricks.sliding_window_view(padded, (fh, fw), axis=(1, 2))
-    win = win[:, :: geom.stride, :: geom.stride]  # (c, oh, ow, fh, fw)
-    cols = win.transpose(1, 2, 0, 3, 4).reshape(oh * ow, -1)
-    return np.ascontiguousarray(cols)
+    """Every zero-padded receptive field as one row: (oh*ow, c*fh*fw)."""
+    return _rows(np.asarray(inp), geom)
 
 
 def sign_patch_matrix(I, geom: ConvGeometry) -> PackedPatchMatrix:
     """Packed sign patterns of all receptive fields of sign(I).
 
-    Zero-padded border positions binarize to +1 (the sign(0) tie rule); the
-    beta map's attenuated border entries partially compensate.
+    The rows are im2col's rows of the I >= 0 bits. Zero-padded border
+    positions binarize to +1 (the sign(0) tie rule), so the border bits are
+    1; the beta map's attenuated border entries partially compensate.
     """
     I = np.asarray(I)
-    oh, ow = geom.out_hw(I.shape[1:])
-    bits = (pad_chw(I, geom.pad) >= 0).astype(np.uint8)
-    fh, fw = geom.filt_hw
-    win = np.lib.stride_tricks.sliding_window_view(bits, (fh, fw), axis=(1, 2))
-    win = win[:, :: geom.stride, :: geom.stride]
-    rows = np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4).reshape(oh * ow, -1))
+    rows = _rows((I >= 0).view(np.uint8), geom, pad_value=1)
     return PackedPatchMatrix(
-        words=_words_from_bits(rows), n=rows.shape[1], out_hw=(oh, ow), geom=geom
+        words=_words_from_bits(rows), n=rows.shape[1], out_hw=geom.out_hw(I.shape[1:]),
+        geom=geom,
     )
 
 
-def conv_binary_weight(
-    I,
-    f: BinarizedFilter,
-    geom: ConvGeometry,
-    counters: OpCounters | None = None,
-    *,
-    cols: np.ndarray | None = None,
-) -> np.ndarray:
-    """Binary-weight convolution: out(y,x) = alpha * sum of +-input values.
-
-    The inner loop is additions and subtractions of input values only; the
-    single multiplication per output element applies the filter scale.
-    """
-    I = np.asarray(I)
-    _check_filter(I, f, geom)
-    oh, ow = geom.out_hw(I.shape[1:])
-    if f.degenerate:
-        return np.zeros((oh, ow), dtype=np.float32)
-    if cols is None:
-        cols = im2col(I, geom)
-    mask = unpack(f.bits) > 0
-    pos = cols[:, mask].sum(axis=1)
-    neg = cols[:, ~mask].sum(axis=1)
-    out = (f.alpha * (pos - neg)).astype(np.float32).reshape(oh, ow)
-    if counters is not None:
-        counters.real_add += cols.shape[0] * (f.n - 1)
-        counters.real_mul += cols.shape[0]
-    return out
+def conv_binary_weight(I, f: BinarizedFilter, geom: ConvGeometry,
+                       counters: OpCounters | None = None) -> np.ndarray:
+    """Binary-weight convolution of one filter: (oh, ow); see
+    conv_binary_weight_layer."""
+    return conv_binary_weight_layer(I, [f], geom, counters)[0]
 
 
 def conv_binary_weight_layer(
     I, filters: list[BinarizedFilter], geom: ConvGeometry, counters: OpCounters | None = None
 ) -> np.ndarray:
-    """All filters of one layer against a shared column matrix: (K, oh, ow)."""
+    """Binary-weight convolution of a filter bank: out = alpha * (B @ columns).
+
+    B is the (K, c*fh*fw) matrix of the filters' +-1 signs, so the product
+    only adds and subtracts input values; the one multiplication per output
+    element applies the filter scale. A degenerate filter's output is zeros.
+    Returns float32 (K, oh, ow).
+    """
     I = np.asarray(I)
-    cols = im2col(I, geom)
-    return np.stack([conv_binary_weight(I, f, geom, counters, cols=cols) for f in filters])
+    _check_filters(I, filters, geom)
+    oh, ow = geom.out_hw(I.shape[1:])
+    signs = np.stack([unpack(f.bits) for f in filters])
+    alphas = np.array([0.0 if f.degenerate else f.alpha for f in filters], dtype=np.float32)
+    out = np.matmul(signs, im2col(I, geom).T)
+    out *= alphas[:, None]
+    if counters is not None:
+        live = sum(not f.degenerate for f in filters)
+        counters.real_add += live * oh * ow * (signs.shape[1] - 1)
+        counters.real_mul += live * oh * ow
+    return out.astype(np.float32, copy=False).reshape(len(filters), oh, ow)
 
 
 def _beta_map_cost(I_shape, geom: ConvGeometry, counters: OpCounters) -> None:
@@ -156,38 +140,10 @@ def _beta_map_cost(I_shape, geom: ConvGeometry, counters: OpCounters) -> None:
     counters.real_add += c * h * w + 2 * ph * pw + 3 * oh * ow
 
 
-def conv_xnor(
-    I,
-    f: BinarizedFilter,
-    geom: ConvGeometry,
-    counters: OpCounters | None = None,
-    *,
-    beta_map: BetaMap | None = None,
-    patches: PackedPatchMatrix | None = None,
-) -> np.ndarray:
-    """XNOR convolution: (sign(I) xnor-conv sign(W)) * K * alpha.
-
-    The inner loop is word-level XNOR + popcount; real multiplications are
-    limited to scaling each output element by its beta and by alpha.
-    """
-    I = np.asarray(I)
-    _check_filter(I, f, geom)
-    oh, ow = geom.out_hw(I.shape[1:])
-    if f.degenerate:
-        return np.zeros((oh, ow), dtype=np.float32)
-    if patches is None:
-        patches = sign_patch_matrix(I, geom)
-    if beta_map is None:
-        beta_map = compute_beta_map(I, geom)
-        if counters is not None:
-            _beta_map_cost(I.shape, geom, counters)
-    dots = xnor_dot_words(patches.words, f.bits.words, f.n)
-    out = dots.reshape(oh, ow).astype(np.float32) * (beta_map.K * np.float32(f.alpha))
-    if counters is not None:
-        counters.xnor_word += patches.n_rows * patches.n_words
-        counters.popcount_word += patches.n_rows * patches.n_words
-        counters.real_mul += 2 * patches.n_rows
-    return out
+def conv_xnor(I, f: BinarizedFilter, geom: ConvGeometry,
+              counters: OpCounters | None = None) -> np.ndarray:
+    """XNOR convolution of one filter: (oh, ow); see conv_xnor_layer."""
+    return conv_xnor_layer(I, [f], geom, counters)[0]
 
 
 _CHUNK_WORD_BUDGET = 4_000_000  # cap the (rows, filters, words) XOR temporary
@@ -196,12 +152,17 @@ _CHUNK_WORD_BUDGET = 4_000_000  # cap the (rows, filters, words) XOR temporary
 def conv_xnor_layer(
     I, filters: list[BinarizedFilter], geom: ConvGeometry, counters: OpCounters | None = None
 ) -> np.ndarray:
-    """All filters of one layer sharing one patch matrix and one beta map.
+    """XNOR convolution of a filter bank: (sign(I) xnor-conv sign(W)) * K * alpha.
 
-    Filters are pre-complemented so the inner loop is one XOR (equal to the
-    XNOR against the original words) plus popcount, batched over filters.
+    All filters share one patch matrix and one beta map. Filters are
+    pre-complemented so the inner loop is one XOR (equal to the XNOR against
+    the original words) plus popcount, batched over filters; real
+    multiplications are limited to scaling each output element by its beta
+    and by alpha. A degenerate filter's output is zeros. Returns float32
+    (K, oh, ow).
     """
     I = np.asarray(I)
+    _check_filters(I, filters, geom)
     patches = sign_patch_matrix(I, geom)
     beta_map = compute_beta_map(I, geom)
     if counters is not None:
@@ -227,26 +188,6 @@ def conv_xnor_layer(
         counters.real_mul += 2 * len(filters) * rows
     scale = beta_map.K[None, :, :] * alphas[:, None, None]
     return dots.reshape(len(filters), oh, ow).astype(np.float32) * scale
-
-
-def conv_xnor_direct(I, f: BinarizedFilter, geom: ConvGeometry) -> np.ndarray:
-    """Sliding-window debug variant: packs and dots one window at a time."""
-    I = np.asarray(I)
-    _check_filter(I, f, geom)
-    oh, ow = geom.out_hw(I.shape[1:])
-    if f.degenerate:
-        return np.zeros((oh, ow), dtype=np.float32)
-    fh, fw = geom.filt_hw
-    padded = pad_chw(I, geom.pad)
-    K = compute_beta_map(I, geom).K
-    out = np.empty((oh, ow), dtype=np.float32)
-    for y in range(oh):
-        for x in range(ow):
-            window = padded[:, y * geom.stride:y * geom.stride + fh,
-                            x * geom.stride:x * geom.stride + fw]
-            d = xnor_dot(pack(sign(window).reshape(-1)), f.bits)
-            out[y, x] = d * K[y, x] * f.alpha
-    return out
 
 
 def count_ops(c: int, n_w: int, n_i: int, mode: str = "xnor") -> tuple[int, int]:

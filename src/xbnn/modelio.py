@@ -80,15 +80,25 @@ def _pack_filter_words(W: np.ndarray) -> np.ndarray:
     return _words_from_bits(bits)
 
 
+def _binarized(layer: Conv2d) -> bool:
+    """Whether a conv's weights are 1-bit: binarized on every forward, or
+    loaded from packed bits as alpha * sign."""
+    return layer.binarize_weights or layer.frozen_alphas is not None
+
+
 def _write_conv(fh, layer: Conv2d, pack_binarized: bool) -> None:
+    binarized = _binarized(layer)
     flags = 0
-    if layer.binarize_weights:
+    if binarized:
         flags |= _FLAG_BIN_WEIGHTS
     if layer.binarize_input:
         flags |= _FLAG_BIN_INPUT
     if layer.learned_scale:
         flags |= _FLAG_LEARNED_SCALE
-    packed = pack_binarized and (layer.binarize_weights or getattr(layer, "frozen_alphas", None) is not None)
+    # a frozen layer is always written packed: it has no real-valued weights
+    # to keep, and written raw, the next load would recompute its scales as a
+    # float32 mean of alpha * sign, which does not reproduce them
+    packed = binarized and (pack_binarized or layer.frozen_alphas is not None)
     if packed:
         flags |= _FLAG_PACKED
     fh.write(struct.pack("<BB", _KIND_CONV, flags))
@@ -100,7 +110,7 @@ def _write_conv(fh, layer: Conv2d, pack_binarized: bool) -> None:
         fh.write(_pack_filter_words(flat).astype("<u8").tobytes())
         if layer.learned_scale:
             alphas = layer.alpha.value.astype(np.float32)
-        elif getattr(layer, "frozen_alphas", None) is not None:
+        elif layer.frozen_alphas is not None:
             alphas = layer.frozen_alphas
         else:
             alphas = np.abs(W).mean(axis=(1, 2, 3)).astype(np.float32)
@@ -165,7 +175,9 @@ def _read_batchnorm(fh) -> BatchNorm2d:
 
 def save(net: Network, path, *, pack_binarized: bool = False) -> None:
     """Serialize a network; ``pack_binarized=True`` stores binarized-weight
-    convolutions as 1-bit sign words plus per-filter scales."""
+    convolutions as 1-bit sign words plus per-filter scales. A convolution
+    loaded from packed bits is always stored packed, so re-saving a packed
+    file reproduces it byte for byte."""
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -266,7 +278,7 @@ def network_arch(net: Network) -> list:
     for layer in net.layers:
         if isinstance(layer, Conv2d):
             n = layer.in_ch * layer.geom.filt_hw[0] * layer.geom.filt_hw[1]
-            binarized = layer.binarize_weights or getattr(layer, "frozen_alphas", None) is not None
+            binarized = _binarized(layer)
             arch.append((layer.out_ch, n, binarized))
             if layer.learned_scale:
                 arch.append(layer.out_ch)
@@ -282,7 +294,7 @@ def describe(net: Network) -> str:
         if isinstance(layer, Conv2d):
             fh_, fw_ = layer.geom.filt_hw
             n = layer.in_ch * fh_ * fw_
-            binarized = layer.binarize_weights or getattr(layer, "frozen_alphas", None) is not None
+            binarized = _binarized(layer)
             detail = (f"{layer.in_ch}->{layer.out_ch} {fh_}x{fw_} s{layer.geom.stride} "
                       f"p{layer.geom.pad}"
                       + (" Wbin" if binarized else "")

@@ -1,10 +1,12 @@
 """Layer graph with forward/backward for training binarized CNNs.
 
 Layers operate on batched arrays of shape (N, C, H, W). Convolutions are
-channel-major: a zero-copy strided view of the padded input gives, per image,
-the (C*fh*fw, oh*ow) column matrix with rows in the weights' own (c, fh, fw)
-order, so the forward is one W @ columns product per image, written straight
-into the (N, K, oh, ow) output. The forward copies the view into a reused
+channel-major: ``tensor.windows``, a zero-copy strided view of the padded
+input, gives per image the (C*fh*fw, oh*ow) column matrix with rows in the
+weights' own (c, fh, fw) order, so the forward is one W @ columns product per
+image, written straight into the (N, K, oh, ow) output. A binarized-input
+convolution takes its per-window scale map from ``binarize.window_mean``,
+the beta map the packed kernels use. The forward copies the view into a reused
 buffer a chunk of images at a time (about 1 MiB of columns, so a chunk stays
 in L2) and never holds a whole batch of columns; the backward builds them
 once. Binarized layers recompute their sign/scale factorization from the
@@ -24,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .binarize import quantize_kbit
-from .tensor import ConvGeometry, ShapeError, sign
+from .binarize import quantize_kbit, window_mean
+from .tensor import ConvGeometry, ShapeError, sign, windows
 
 BLOCK_ORDERS = ("C-B-A-P", "B-A-C-P")
 
@@ -127,23 +129,7 @@ def loss_softmax_nll(logits, labels):
 _CHUNK_BYTES = 1 << 20
 
 
-def _windows(x, geom: ConvGeometry, pad_value: float = 0.0):
-    """Zero-copy (N, C, fh, fw, oh, ow) view of the padded input.
-
-    For each image it is the (C*fh*fw, oh*ow) column matrix, with rows in
-    the weights' own (c, fh, fw) order. Raises ShapeError if the filter does
-    not fit the padded input.
-    """
-    geom.out_hw(x.shape[2:])
-    if geom.pad:
-        p = geom.pad
-        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=pad_value)
-    s = geom.stride
-    win = np.lib.stride_tricks.sliding_window_view(x, geom.filt_hw, axis=(2, 3))
-    return win[:, :, ::s, ::s].transpose(0, 1, 4, 5, 2, 3)
-
-
-def _conv_windows(win, wmat):
+def _conv_columns(win, wmat):
     """(N, K, oh, ow) = per image wmat (K, C*fh*fw) @ columns (C*fh*fw, oh*ow).
 
     Images go through in chunks of about _CHUNK_BYTES of columns, copied
@@ -175,23 +161,6 @@ def _col2im(gcols, x_shape, geom: ConvGeometry):
         for kx in range(fw):
             gpad[:, :, ky:ky + s * oh:s, kx:kx + s * ow:s] += gcols[:, :, ky, kx]
     return gpad[:, :, p:h + p, p:w + p]
-
-
-def _batch_window_mean(a, geom: ConvGeometry):
-    """Per-sample beta map: sliding-window mean of (N, H, W) planes."""
-    n, h, w = a.shape
-    fh, fw = geom.filt_hw
-    oh, ow = geom.out_hw((h, w))
-    if geom.pad:
-        a = np.pad(a, ((0, 0), (geom.pad, geom.pad), (geom.pad, geom.pad)))
-    ii = np.zeros((n, a.shape[1] + 1, a.shape[2] + 1), dtype=np.float64)
-    np.cumsum(np.cumsum(a, axis=1), axis=2, out=ii[:, 1:, 1:])
-    ys = np.arange(oh) * geom.stride
-    xs = np.arange(ow) * geom.stride
-    y0, y1 = ys[:, None], (ys + fh)[:, None]
-    x0, x1 = xs[None, :], (xs + fw)[None, :]
-    sums = ii[:, y1, x1] - ii[:, y0, x1] - ii[:, y1, x0] + ii[:, y0, x0]
-    return np.maximum(sums / float(fh * fw), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +236,9 @@ class Conv2d(Layer):
             self.alpha = Param("alpha", np.ones(out_ch, dtype=np.float32))
         self.binarize_count = 0
         self.last_wtilde = None
+        # per-filter scales of weights loaded from packed bits: the weights
+        # are then alpha * sign and no longer binarized on forward
+        self.frozen_alphas = None
 
     def params(self):
         ps = [self.weight]
@@ -297,7 +269,7 @@ class Conv2d(Layer):
         conv_in = x
         pad_value = 0.0
         if self.binarize_input:
-            K = _batch_window_mean(np.abs(x).mean(axis=1), self.geom).astype(x.dtype)
+            K = window_mean(np.abs(x).mean(axis=1), self.geom).astype(x.dtype)
             if self.k_bits == 1:
                 conv_in = sign(x)
             else:
@@ -305,8 +277,8 @@ class Conv2d(Layer):
             # zero padding is quantized like any other input value: sign(0) = +1
             pad_value = float(quantize_kbit(0.0, self.k_bits))
 
-        win = _windows(conv_in, self.geom, pad_value)
-        out = _conv_windows(win, wtilde.reshape(self.out_ch, -1))
+        win = windows(conv_in, self.geom, pad_value)
+        out = _conv_columns(win, wtilde.reshape(self.out_ch, -1))
         pre_scale = None
         if self.binarize_input:
             out *= K[:, None]

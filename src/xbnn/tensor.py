@@ -1,11 +1,15 @@
-"""Dense tensors, convolution geometry, and the naive reference convolution.
+"""Dense tensors, convolution geometry, the receptive-field view and the
+naive reference convolution.
 
 Feature maps are float arrays of shape (channels, height, width) and filter
 banks are (filters, channels, fh, fw), both row-major with channels outermost
 so a receptive field flattens to one contiguous vector of length c*fh*fw.
-``conv2d_reference`` is deliberately written as a plain sliding-window loop:
-it is the correctness oracle every binary kernel is measured against, so it
-stays simple and independent of the fast paths.
+``windows`` is the one receptive-field layout: the batched layers in ``nn``
+and the packed kernels in ``kernels`` all read their columns or patch rows
+from it. ``conv2d_reference`` is deliberately written as a plain
+sliding-window loop that does not use ``windows``: it is the correctness
+oracle every fast path is measured against, so it stays simple and
+independent of them.
 """
 
 from __future__ import annotations
@@ -51,10 +55,6 @@ class ConvGeometry:
         return oh, ow
 
 
-def as_f32(x) -> np.ndarray:
-    return np.ascontiguousarray(x, dtype=np.float32)
-
-
 def sign(x) -> np.ndarray:
     """Sign with the tie rule sign(0) = +1, so outputs are exactly +-1."""
     x = np.asarray(x)
@@ -63,24 +63,6 @@ def sign(x) -> np.ndarray:
     out *= 2
     out -= 1
     return out
-
-
-def elementwise(op: str, a, b=None) -> np.ndarray:
-    """Pointwise op dispatcher: add/sub/mul take two tensors, scale takes a
-    scalar, abs/sign take one tensor. Shapes of two-tensor ops must match."""
-    a = np.asarray(a)
-    if op in ("add", "sub", "mul"):
-        b = np.asarray(b)
-        if a.shape != b.shape:
-            raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-        return {"add": np.add, "sub": np.subtract, "mul": np.multiply}[op](a, b)
-    if op == "scale":
-        return a * float(b)
-    if op == "abs":
-        return np.abs(a)
-    if op == "sign":
-        return sign(a)
-    raise ValueError(f"unknown elementwise op: {op!r}")
 
 
 def channel_abs_mean(inp) -> np.ndarray:
@@ -95,6 +77,23 @@ def pad_chw(inp: np.ndarray, pad: int) -> np.ndarray:
     if pad == 0:
         return inp
     return np.pad(inp, ((0, 0), (pad, pad), (pad, pad)))
+
+
+def windows(x, geom: ConvGeometry, pad_value: float = 0.0) -> np.ndarray:
+    """Zero-copy (N, C, fh, fw, oh, ow) view of the padded (N, C, H, W) input.
+
+    For each image it is the (C*fh*fw, oh*ow) column matrix, with rows in
+    the weights' own (c, fh, fw) order. The border is padded with
+    ``pad_value``. Raises ShapeError if the filter does not fit the padded
+    input.
+    """
+    geom.out_hw(x.shape[2:])
+    if geom.pad:
+        p = geom.pad
+        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=pad_value)
+    s = geom.stride
+    win = np.lib.stride_tricks.sliding_window_view(x, geom.filt_hw, axis=(2, 3))
+    return win[:, :, ::s, ::s].transpose(0, 1, 4, 5, 2, 3)
 
 
 def conv2d_reference(inp, filters, geom: ConvGeometry) -> np.ndarray:

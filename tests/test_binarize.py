@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from xbnn.binarize import (
     binarize_gradient,
@@ -9,9 +11,10 @@ from xbnn.binarize import (
     binary_dot_factors,
     compute_beta_map,
     quantize_kbit,
+    window_mean,
 )
 from xbnn.bitpack import unpack
-from xbnn.tensor import ConvGeometry, sign
+from xbnn.tensor import ConvGeometry, channel_abs_mean, sign
 
 
 def residual(W, B, alpha):
@@ -94,6 +97,79 @@ class TestBinaryDotFactors:
         np.testing.assert_array_equal(sign(X) * sign(W), sign(X * W))
 
 
+# references: the two beta maps that window_mean replaces, the single-plane
+# integral image of compute_beta_map and the batched one of nn.Conv2d
+
+
+def reference_window_sums(plane, geom):
+    fh, fw = geom.filt_hw
+    oh, ow = geom.out_hw(plane.shape)
+    padded = plane
+    if geom.pad:
+        padded = np.pad(plane, geom.pad)
+    ii = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.float64)
+    np.cumsum(np.cumsum(padded, axis=0), axis=1, out=ii[1:, 1:])
+    ys = np.arange(oh) * geom.stride
+    xs = np.arange(ow) * geom.stride
+    y0, y1 = ys[:, None], (ys + fh)[:, None]
+    x0, x1 = xs[None, :], (xs + fw)[None, :]
+    return ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]
+
+
+def reference_beta_map(I, geom):
+    sums = reference_window_sums(channel_abs_mean(I), geom)
+    return np.maximum(sums / float(np.prod(geom.filt_hw)), 0.0).astype(np.float32)
+
+
+def reference_batch_window_mean(a, geom):
+    n, h, w = a.shape
+    fh, fw = geom.filt_hw
+    oh, ow = geom.out_hw((h, w))
+    if geom.pad:
+        a = np.pad(a, ((0, 0), (geom.pad, geom.pad), (geom.pad, geom.pad)))
+    ii = np.zeros((n, a.shape[1] + 1, a.shape[2] + 1), dtype=np.float64)
+    np.cumsum(np.cumsum(a, axis=1), axis=2, out=ii[:, 1:, 1:])
+    ys = np.arange(oh) * geom.stride
+    xs = np.arange(ow) * geom.stride
+    y0, y1 = ys[:, None], (ys + fh)[:, None]
+    x0, x1 = xs[None, :], (xs + fw)[None, :]
+    sums = ii[:, y1, x1] - ii[:, y0, x1] - ii[:, y1, x0] + ii[:, y0, x0]
+    return np.maximum(sums / float(fh * fw), 0.0)
+
+
+@st.composite
+def beta_cases(draw):
+    """(I, geom): (n, c, h, w) input, fh, fw, stride 1 or 2, pad 0..2,
+    float32/float64; the filter fits the padded input."""
+    n, c = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    pad = draw(st.integers(0, 2))
+    fh, fw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    assume(fh <= h + 2 * pad and fw <= w + 2 * pad)
+    geom = ConvGeometry(filt_hw=(fh, fw), stride=draw(st.sampled_from([1, 2])), pad=pad)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=(n, c, h, w)).astype(dtype), geom
+
+
+class TestWindowMeanEquivalence:
+    @given(beta_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_single_beta_map_equals_reference(self, case):
+        x, geom = case
+        for I in x:
+            np.testing.assert_array_equal(compute_beta_map(I, geom).K,
+                                          reference_beta_map(I, geom))
+
+    @given(beta_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_batched_beta_map_equals_reference(self, case):
+        x, geom = case
+        a = np.abs(x).mean(axis=1)
+        np.testing.assert_array_equal(window_mean(a, geom),
+                                      reference_batch_window_mean(a, geom))
+
+
 class TestBetaMap:
     def test_uniform_input(self):
         K = compute_beta_map(np.ones((1, 3, 3)), ConvGeometry(filt_hw=(2, 2))).K
@@ -111,17 +187,19 @@ class TestBetaMap:
         np.testing.assert_array_equal(K, np.zeros((2, 2)))
 
     def test_against_per_window_oracle(self):
+        # padded positions are zeros that count in each window's mean
         rng = np.random.default_rng(5)
         I = rng.normal(size=(4, 9, 7)).astype(np.float32)
-        for stride in (1, 2):
-            geom = ConvGeometry(filt_hw=(3, 2), stride=stride, pad=0)
+        for stride, pad in itertools.product((1, 2), (0, 1, 2)):
+            geom = ConvGeometry(filt_hw=(3, 2), stride=stride, pad=pad)
             K = compute_beta_map(I, geom).K
+            padded = np.pad(I, ((0, 0), (pad, pad), (pad, pad)))
             oh, ow = geom.out_hw(I.shape[1:])
             for y in range(oh):
                 for x in range(ow):
-                    window = I[:, y * stride:y * stride + 3, x * stride:x * stride + 2]
+                    window = padded[:, y * stride:y * stride + 3, x * stride:x * stride + 2]
                     expected = np.abs(window).mean()
-                    assert K[y, x] == pytest.approx(expected, rel=1e-6)
+                    assert K[y, x] == pytest.approx(expected, rel=1e-6, abs=1e-12)
 
     def test_padded_border_attenuated(self):
         I = np.ones((1, 4, 4), dtype=np.float32)

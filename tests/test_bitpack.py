@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbnn.bitpack import WORD_BITS, pack, pack_rows, unpack, xnor_dot, xnor_dot_words
+from xbnn.bitpack import WORD_BITS, pack, unpack, xnor_dot
 
 sign_vectors = st.lists(st.sampled_from([-1.0, 1.0]), min_size=1, max_size=300).map(np.array)
 
@@ -42,24 +42,6 @@ class TestPack:
             assert last >> (WORD_BITS - pb.n_pad) == 0
 
 
-class TestPackRows:
-    def test_two_rows(self):
-        rows = pack_rows(np.array([[1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]]))
-        assert len(rows) == 2
-        assert all(r.n == 3 for r in rows)
-
-    def test_empty_matrix(self):
-        assert pack_rows([]) == []
-
-    def test_zero_entry_rejected(self):
-        with pytest.raises(ValueError):
-            pack_rows([[1.0, 0.0]])
-
-    def test_ragged_rejected(self):
-        with pytest.raises(ValueError):
-            pack_rows([np.ones(3), np.ones(4)])
-
-
 class TestXnorDot:
     def test_hand_example(self):
         a = pack(np.array([1.0, 1.0, -1.0]))
@@ -94,14 +76,3 @@ class TestXnorDot:
         assert d == xnor_dot(pb, pa)
         assert abs(d) <= a.size
         assert d % 2 == a.size % 2
-
-    def test_vectorized_words_agree(self):
-        rng = np.random.default_rng(9)
-        n = 130
-        mat = np.where(rng.random((8, n)) < 0.5, 1.0, -1.0)
-        filt = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-        rows = pack_rows(mat)
-        words = np.stack([r.words for r in rows])
-        dots = xnor_dot_words(words, pack(filt).words, n)
-        expected = [xnor_dot(r, pack(filt)) for r in rows]
-        np.testing.assert_array_equal(dots, expected)

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from xbnn.cli import (
     parse_arch_text,
     speedup_model,
 )
-from xbnn.data import write_digit_corpus
+from xbnn.data import ingest, write_digit_corpus
+from xbnn.modelio import save
+from xbnn.nn import apply_mode, build_network
 
 TOY_ARCH = """\
 # toy digit classifier
@@ -106,6 +110,20 @@ class TestExitCodes:
         bad = tmp_path / "bad.xbn"
         bad.write_bytes(b"NOPE" + b"\x00" * 32)
         assert cli_main(["describe", "--model", str(bad)]) == 1
+
+    def test_eval_without_train_split(self, data_dir, tmp_path, capsys):
+        # eval normalizes with the train split's statistics; without that
+        # split it must fail, not fall back to the eval split's own
+        val_only = tmp_path / "val_only"
+        val_only.mkdir()
+        for name in ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"):
+            shutil.copy(data_dir / name, val_only / name)
+        model = tmp_path / "m.xbn"
+        shape = ingest(data_dir, "IDX", "val").images.shape[1:]
+        save(build_network(apply_mode(parse_arch_text(TOY_ARCH), "bwn"), shape), model)
+        capsys.readouterr()
+        assert cli_main(["eval", "--model", str(model), "--data", str(val_only)]) == 1
+        assert "train-images-idx3-ubyte" in capsys.readouterr().err
 
 
 class TestTrainEvalPipeline:

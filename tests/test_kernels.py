@@ -1,26 +1,100 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from xbnn.binarize import BinarizedFilter, binarize_weights, binary_dot_factors, compute_beta_map
-from xbnn.bitpack import pack
+import xbnn
+from xbnn import kernels
+from xbnn.binarize import BinarizedFilter, binarize_weights, binary_dot_factors
+from xbnn.bitpack import PackedBits, _words_from_bits, pack, unpack, xnor_dot
 from xbnn.kernels import (
     OpCounters,
     conv2d_reference,
     conv_binary_weight,
     conv_binary_weight_layer,
     conv_xnor,
-    conv_xnor_direct,
     conv_xnor_layer,
     count_ops,
     im2col,
     sign_patch_matrix,
 )
-from xbnn.tensor import ConvGeometry, sign
+from xbnn.tensor import ConvGeometry, ShapeError, channel_abs_mean, pad_chw, sign
 
 
 def make_filter(pattern, alpha, shape):
     return BinarizedFilter(bits=pack(np.asarray(pattern, dtype=np.float64)),
                            alpha=alpha, original_shape=shape)
+
+
+# ---------------------------------------------------------------------------
+# references: the single-image row layouts kernels used before they read
+# their rows from tensor.windows
+
+
+def reference_im2col(inp, geom):
+    fh, fw = geom.filt_hw
+    oh, ow = geom.out_hw(inp.shape[1:])
+    padded = pad_chw(np.asarray(inp), geom.pad)
+    win = np.lib.stride_tricks.sliding_window_view(padded, (fh, fw), axis=(1, 2))
+    win = win[:, :: geom.stride, :: geom.stride]  # (c, oh, ow, fh, fw)
+    cols = win.transpose(1, 2, 0, 3, 4).reshape(oh * ow, -1)
+    return np.ascontiguousarray(cols)
+
+
+def reference_sign_patch_words(I, geom):
+    oh, ow = geom.out_hw(I.shape[1:])
+    bits = (pad_chw(I, geom.pad) >= 0).astype(np.uint8)
+    fh, fw = geom.filt_hw
+    win = np.lib.stride_tricks.sliding_window_view(bits, (fh, fw), axis=(1, 2))
+    win = win[:, :: geom.stride, :: geom.stride]
+    rows = np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4).reshape(oh * ow, -1))
+    return _words_from_bits(rows)
+
+
+def xnor_oracle(I, bank, geom):
+    """Integer dots and the beta map of the XNOR layer, from conv2d_reference
+    alone: the dot is the correlation of sign(zero-padded I), with sign(0) =
+    +1 on the border, against sign(W); K is the correlation of the padded
+    channel abs-mean with a uniform 1/(fh*fw) filter."""
+    unpadded = ConvGeometry(geom.filt_hw, geom.stride, 0)
+    dots = conv2d_reference(sign(pad_chw(I, geom.pad)), sign(bank), unpadded)
+    fh, fw = geom.filt_hw
+    box = np.full((1, 1, fh, fw), 1.0 / (fh * fw))
+    plane = pad_chw(channel_abs_mean(I)[None], geom.pad)
+    return dots, conv2d_reference(plane, box, unpadded)[0]
+
+
+@st.composite
+def window_cases(draw):
+    """(I, geom): c, h, w, fh, fw, stride 1 or 2, pad 0..2, float32/float64;
+    the filter fits the padded input."""
+    c, h, w = draw(st.integers(1, 5)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    pad = draw(st.integers(0, 2))
+    fh, fw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    assume(fh <= h + 2 * pad and fw <= w + 2 * pad)
+    geom = ConvGeometry(filt_hw=(fh, fw), stride=draw(st.sampled_from([1, 2])), pad=pad)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    I = rng.normal(size=(c, h, w)).astype(dtype)
+    if draw(st.booleans()):
+        I[rng.random(I.shape) < 0.3] = 0.0  # exact zeros exercise the sign(0) rule
+    return I, geom
+
+
+class TestReferenceEquivalence:
+    @given(window_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_im2col_rows_equal_reference(self, case):
+        I, geom = case
+        np.testing.assert_array_equal(im2col(I, geom), reference_im2col(I, geom))
+
+    @given(window_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_packed_patch_words_equal_reference(self, case):
+        I, geom = case
+        pm = sign_patch_matrix(I, geom)
+        np.testing.assert_array_equal(pm.words, reference_sign_patch_words(I, geom))
+        assert pm.out_hw == geom.out_hw(I.shape[1:])
 
 
 class TestIm2col:
@@ -43,11 +117,9 @@ class TestIm2col:
         assert pm.n_rows == oh * ow
         assert pm.n == 2 * 2 * 2
         # row 0 covers the padded corner; padding binarizes to +1
-        first = pm.row(0)
+        first = PackedBits(n=pm.n, words=pm.words[0])
         window = np.zeros((2, 2, 2), dtype=np.float32)
         window[:, 1, 1] = I[:, 0, 0]
-        from xbnn.bitpack import unpack
-
         np.testing.assert_array_equal(unpack(first), sign(window).reshape(-1))
 
 
@@ -126,8 +198,6 @@ class TestConvXnor:
         f = binarize_weights(W)
         out = conv_xnor(I, f, ConvGeometry(filt_hw=(3, 3)))
         factors = binary_dot_factors(I.reshape(-1), W.reshape(-1))
-        from xbnn.bitpack import xnor_dot
-
         expected = xnor_dot(factors.H, factors.B) * factors.beta * factors.alpha
         assert out[0, 0] == pytest.approx(expected, rel=1e-5)
 
@@ -137,16 +207,34 @@ class TestConvXnor:
                         ConvGeometry(filt_hw=(2, 2)))
         np.testing.assert_array_equal(out, np.zeros((3, 3)))
 
-    def test_direct_path_agrees(self):
+    def test_layer_matches_reference_oracle(self):
         rng = np.random.default_rng(7)
         I = rng.normal(size=(3, 7, 6)).astype(np.float32)
-        W = rng.normal(size=(3, 3, 3)).astype(np.float32)
-        f = binarize_weights(W)
+        I[:, 2, 3] = 0.0  # sign(0) = +1 inside the input as on the border
+        bank = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        filters = [binarize_weights(w) for w in bank]
+        alphas = np.array([f.alpha for f in filters], dtype=np.float32)
         for stride, pad in [(1, 0), (2, 1)]:
             geom = ConvGeometry(filt_hw=(3, 3), stride=stride, pad=pad)
-            np.testing.assert_allclose(
-                conv_xnor(I, f, geom), conv_xnor_direct(I, f, geom), rtol=1e-5, atol=1e-6
-            )
+            out = conv_xnor_layer(I, filters, geom)
+            dots, K = xnor_oracle(I, bank, geom)
+            scale = K[None] * alphas[:, None, None]
+            np.testing.assert_allclose(out, dots * scale, rtol=1e-5,
+                                       atol=1e-5 * np.abs(dots * scale).max())
+            live = np.broadcast_to(K > 1e-6 * K.max(), out.shape)
+            np.testing.assert_array_equal(np.rint(out[live] / scale[live]), dots[live])
+
+    def test_layer_checks_every_filter(self):
+        rng = np.random.default_rng(17)
+        I = rng.normal(size=(2, 5, 5)).astype(np.float32)
+        geom = ConvGeometry(filt_hw=(3, 3))
+        good = binarize_weights(rng.normal(size=(2, 3, 3)))
+        # the same length n = 18, but a 1x9 extent and a 1-channel filter
+        for shape in [(2, 1, 9), (1, 6, 3)]:
+            bad = make_filter(np.ones(18), alpha=1.0, shape=shape)
+            for layer_fn in (conv_xnor_layer, conv_binary_weight_layer):
+                with pytest.raises(ShapeError):
+                    layer_fn(I, [good, bad], geom)
 
     def test_error_shrinks_toward_sign_structure(self):
         # blending the input toward its own sign pattern must shrink the
@@ -214,7 +302,33 @@ class TestCountOps:
             count_ops(0, 9, 196)
 
 
+class TestExports:
+    @pytest.mark.parametrize("module", [xbnn, kernels])
+    def test_every_exported_name_resolves(self, module):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing
+
+
 class TestConvBinaryWeightLayer:
+    def test_degenerate_filter_in_bank(self):
+        rng = np.random.default_rng(11)
+        I = rng.normal(size=(3, 6, 6)).astype(np.float32)
+        bank = rng.normal(size=(3, 3, 3, 3)).astype(np.float32)
+        bank[1] = 0.0
+        geom = ConvGeometry(filt_hw=(3, 3), pad=1, stride=2)
+        filters = [binarize_weights(w) for w in bank]
+        assert filters[1].degenerate
+        counters = OpCounters()
+        out = conv_binary_weight_layer(I, filters, geom, counters)
+        np.testing.assert_array_equal(out[1], np.zeros(geom.out_hw((6, 6))))
+        live = [0, 2]
+        ref = conv2d_reference(I, np.stack([filters[k].dense() for k in live]), geom)
+        np.testing.assert_allclose(out[live], ref, rtol=1e-5, atol=1e-5)
+        positions, n = out[0].size, 3 * 3 * 3
+        assert counters.real_mul == len(live) * positions
+        assert counters.real_add == len(live) * positions * (n - 1)
+        assert counters.xnor_word == 0
+
     def test_matches_reference_bank(self):
         rng = np.random.default_rng(10)
         I = rng.normal(size=(3, 6, 6)).astype(np.float32)

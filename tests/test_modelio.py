@@ -93,6 +93,35 @@ class TestPackedExport:
             net.forward(images, train=False), loaded.forward(images, train=False)
         )
 
+    @pytest.mark.parametrize("mode", ["bwn", "xnor", "learned"])
+    def test_packed_resave_identical_bytes(self, tmp_path, mode):
+        # a loaded packed layer keeps its 1-bit flag and its stored scales;
+        # one without a learned scale has no real weights, so it stays
+        # packed even when the re-save does not ask for packing
+        for seed in range(5):
+            if mode == "learned":
+                rng = np.random.default_rng(seed)
+                specs = [
+                    LayerSpec(kind="conv", out_ch=3, k=3, pad=1),
+                    LayerSpec(kind="binconv", out_ch=4, k=3, pad=1,
+                              binarize_weights=True, learned_scale=True),
+                    LayerSpec(kind="conv", out_ch=5),
+                ]
+                net = build_network(specs, (1, 6, 6), seed=seed)
+                net.conv_layers()[1].alpha.value = rng.uniform(0.5, 2, size=4).astype(np.float32)
+                x = rng.normal(size=(3, 1, 6, 6)).astype(np.float32)
+            else:
+                net, x = self._trained_net(mode, seed)
+            first = tmp_path / f"{mode}{seed}.xbn"
+            save(net, first, pack_binarized=True)
+            for pack in (True, False) if mode != "learned" else (True,):
+                again = tmp_path / f"{mode}{seed}_{pack}.xbn"
+                save(load(first), again, pack_binarized=pack)
+                assert again.read_bytes() == first.read_bytes()
+                np.testing.assert_array_equal(
+                    net.forward(x, train=False), load(again).forward(x, train=False)
+                )
+
     def test_packed_learned_scale_evaluates_identically(self, tmp_path):
         rng = np.random.default_rng(4)
         specs = [

@@ -4,9 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from xbnn.binarize import compute_beta_map
+from xbnn.binarize import binarize_weights, compute_beta_map, window_mean
 from xbnn.kernels import conv_xnor_layer
-from xbnn.binarize import binarize_weights
 from xbnn import nn
 from xbnn.nn import (
     AvgPool2d,
@@ -347,7 +346,7 @@ def reference_conv(layer, x, g):
             wt = alphas[:, None, None, None] * wt
     conv_in, pad_value, K = x, 0.0, None
     if layer.binarize_input:
-        K = nn._batch_window_mean(np.abs(x).mean(axis=1), layer.geom).astype(x.dtype)
+        K = window_mean(np.abs(x).mean(axis=1), layer.geom).astype(x.dtype)
         conv_in, pad_value = sign(x), 1.0
     cols, out_hw = reference_im2col(conv_in, layer.geom, pad_value)
     flat = cols @ wt.reshape(k_out, -1).T

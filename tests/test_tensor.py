@@ -6,7 +6,6 @@ from xbnn.tensor import (
     ShapeError,
     channel_abs_mean,
     conv2d_reference,
-    elementwise,
     sign,
 )
 
@@ -94,27 +93,6 @@ class TestElementwise:
         np.testing.assert_array_equal(ints, [1.0, 1.0, -1.0])
         for dtype in (np.float32, np.float64):
             assert sign(np.array([-1.5, 2.0], dtype=dtype)).dtype == dtype
-
-    def test_abs_and_mul(self):
-        np.testing.assert_array_equal(elementwise("abs", np.array([-2.0, 3.0])), [2.0, 3.0])
-        np.testing.assert_array_equal(
-            elementwise("mul", np.array([1.0, 2.0]), np.array([3.0, 4.0])), [3.0, 8.0]
-        )
-
-    def test_sub_and_scale(self):
-        np.testing.assert_array_equal(
-            elementwise("sub", np.array([3.0, 1.0]), np.array([1.0, 4.0])), [2.0, -3.0]
-        )
-        np.testing.assert_array_equal(elementwise("scale", np.array([1.0, -2.0]), 2.5),
-                                      [2.5, -5.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            elementwise("add", np.ones(3), np.ones(4))
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            elementwise("pow", np.ones(3), np.ones(3))
 
     def test_sign_times_abs_recovers_value(self):
         rng = np.random.default_rng(3)
