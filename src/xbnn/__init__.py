@@ -11,7 +11,6 @@ estimator, a 1-bit model file format, and a benchmarking CLI.
 from .binarize import (
     BetaMap,
     BinarizedFilter,
-    binarize_gradient,
     binarize_weights,
     binary_dot_factors,
     compute_beta_map,
@@ -39,7 +38,6 @@ __all__ = [
     "PackedBits",
     "PackedPatchMatrix",
     "ShapeError",
-    "binarize_gradient",
     "binarize_weights",
     "binary_dot_factors",
     "channel_abs_mean",

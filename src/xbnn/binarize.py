@@ -1,9 +1,12 @@
 """Binarization math: optimal sign/scale factorizations, the per-window input
-scale map, the k-bit quantizer, and gradient binarization.
+scale map and the k-bit quantizer.
 
 The weight factorization W ~ alpha*B with B = sign(W) and alpha = mean(|W|)
 is the exact minimizer of ||W - alpha*B||^2 over B in {+-1}^n, alpha > 0; the
 brute-force check in the test suite enumerates all sign patterns to confirm.
+``filter_alphas`` is the one place alpha is computed: the packed filters, the
+training layers (``nn.Conv2d``) and the packed model export all call it, so
+a packed file reproduces the scales training used bit for bit.
 """
 
 from __future__ import annotations
@@ -57,15 +60,21 @@ class BinaryDotFactors:
     gamma_exact: float  # mean(|X_i * W_i|); gamma = beta*alpha only approximates it
 
 
+def filter_alphas(bank) -> np.ndarray:
+    """alpha = mean(|W|) of every filter of a (K, ...) bank: shape (K,), in
+    the bank's dtype."""
+    bank = np.asarray(bank)
+    return np.abs(bank.reshape(len(bank), -1)).mean(axis=1)
+
+
 def binarize_weights(W) -> BinarizedFilter:
     """Optimal (B, alpha) for one filter: B = sign(W), alpha = mean(|W|)."""
     W = np.asarray(W)
     if W.size == 0:
         raise ShapeError("cannot binarize an empty filter")
-    flat = W.reshape(-1)
-    alpha = float(np.abs(flat).mean())
+    alpha = float(filter_alphas(W[None])[0])
     return BinarizedFilter(
-        bits=pack(sign(flat)),
+        bits=pack(sign(W.reshape(-1))),
         alpha=alpha,
         original_shape=W.shape,
         degenerate=(alpha == 0.0),
@@ -81,7 +90,7 @@ def binary_dot_factors(X, W) -> BinaryDotFactors:
     if X.size == 0:
         raise ShapeError("need n >= 1")
     beta = float(np.abs(X).mean())
-    alpha = float(np.abs(W).mean())
+    alpha = float(filter_alphas(W[None])[0])
     return BinaryDotFactors(
         beta=beta,
         H=pack(sign(X)),
@@ -142,14 +151,3 @@ def quantize_kbit(x, k: int):
         return float(q)
     return q.astype(np.asarray(x).dtype if np.asarray(x).dtype.kind == "f" else np.float64)
 
-
-def binarize_gradient(g):
-    """Max-magnitude scaling for gradients: returns (sign pattern, max|g|).
-
-    Using the l1-mean here would shrink the largest coordinate, so the max is
-    used to preserve the direction of maximum change.
-    """
-    g = np.asarray(g)
-    if g.size == 0:
-        raise ShapeError("cannot binarize an empty gradient")
-    return sign(g), float(np.abs(g).max())

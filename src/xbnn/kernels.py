@@ -158,8 +158,8 @@ def conv_xnor_layer(
     pre-complemented so the inner loop is one XOR (equal to the XNOR against
     the original words) plus popcount, batched over filters; real
     multiplications are limited to scaling each output element by its beta
-    and by alpha. A degenerate filter's output is zeros. Returns float32
-    (K, oh, ow).
+    and by alpha. A degenerate filter's output is zeros, and it is not
+    counted in ``counters``. Returns float32 (K, oh, ow).
     """
     I = np.asarray(I)
     _check_filters(I, filters, geom)
@@ -183,9 +183,10 @@ def conv_xnor_layer(
         total = np.bitwise_count(xnor).sum(axis=-1, dtype=np.int32)
         dots[k0:k0 + chunk] = (2 * total - (n + 2 * n_pad)).T
     if counters is not None:
-        counters.xnor_word += len(filters) * rows * patches.n_words
-        counters.popcount_word += len(filters) * rows * patches.n_words
-        counters.real_mul += 2 * len(filters) * rows
+        live = sum(not f.degenerate for f in filters)
+        counters.xnor_word += live * rows * patches.n_words
+        counters.popcount_word += live * rows * patches.n_words
+        counters.real_mul += 2 * live * rows
     scale = beta_map.K[None, :, :] * alphas[:, None, None]
     return dots.reshape(len(filters), oh, ow).astype(np.float32) * scale
 

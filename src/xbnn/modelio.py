@@ -5,11 +5,13 @@ File layout (all little-endian):
     magic "XBN1" | version u16 | layer_count u16 | input shape 3*u32
     then per layer: kind u8 | flags u8 | kind-specific header | payload
 
-Conv payloads are either raw float32 weights (training checkpoints) or the
-packed form: per filter ceil(n/64) uint64 sign words (bitpack layout) followed
-by one float32 scale per filter. Loading a packed convolution reconstructs
-exactly the effective weights the in-memory network would compute, so an
-exported model evaluates bit-identically without the real-valued weights.
+A conv's flags byte keeps the k_bits of its input quantizer, minus one, in
+its high nibble. Conv payloads are either raw float32 weights (training
+checkpoints) or the packed form: per filter ceil(n/64) uint64 sign words
+(bitpack layout) followed by one float32 scale per filter. Loading a packed
+convolution reconstructs exactly the effective weights the in-memory network
+would compute, so an exported model evaluates bit-identically without the
+real-valued weights.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binarize import filter_alphas
 from .bitpack import WORD_BITS, PackedBits, _words_from_bits, unpack
 from .nn import (
     AvgPool2d,
@@ -45,6 +48,10 @@ _FLAG_BIN_WEIGHTS = 1
 _FLAG_BIN_INPUT = 2
 _FLAG_LEARNED_SCALE = 4
 _FLAG_PACKED = 8
+# the high nibble of a conv's flags holds k_bits - 1, so k_bits = 1 files keep
+# the layout they had before k_bits was stored
+_K_BITS_SHIFT = 4
+_MAX_K_BITS = 16
 
 
 class ModelIOError(Exception):
@@ -88,7 +95,7 @@ def _binarized(layer: Conv2d) -> bool:
 
 def _write_conv(fh, layer: Conv2d, pack_binarized: bool) -> None:
     binarized = _binarized(layer)
-    flags = 0
+    flags = (layer.k_bits - 1) << _K_BITS_SHIFT
     if binarized:
         flags |= _FLAG_BIN_WEIGHTS
     if layer.binarize_input:
@@ -113,7 +120,7 @@ def _write_conv(fh, layer: Conv2d, pack_binarized: bool) -> None:
         elif layer.frozen_alphas is not None:
             alphas = layer.frozen_alphas
         else:
-            alphas = np.abs(W).mean(axis=(1, 2, 3)).astype(np.float32)
+            alphas = filter_alphas(W)
         fh.write(alphas.astype("<f4").tobytes())
     else:
         fh.write(W.astype("<f4").tobytes())
@@ -129,7 +136,8 @@ def _read_conv(fh, flags: int) -> Conv2d:
     layer = Conv2d(in_ch, out_ch, (fh_, fw_), stride=stride, pad=pad,
                    binarize_weights=bool(flags & _FLAG_BIN_WEIGHTS) and (not packed or learned),
                    binarize_input=bool(flags & _FLAG_BIN_INPUT),
-                   learned_scale=learned, rng=np.random.default_rng(0))
+                   learned_scale=learned, k_bits=(flags >> _K_BITS_SHIFT) + 1,
+                   rng=np.random.default_rng(0))
     if packed:
         n_words = (n + WORD_BITS - 1) // WORD_BITS
         raw = _read(fh, out_ch * n_words * 8, "packed filter words")
@@ -178,6 +186,10 @@ def save(net: Network, path, *, pack_binarized: bool = False) -> None:
     convolutions as 1-bit sign words plus per-filter scales. A convolution
     loaded from packed bits is always stored packed, so re-saving a packed
     file reproduces it byte for byte."""
+    for layer in net.conv_layers():
+        if not 1 <= layer.k_bits <= _MAX_K_BITS:
+            raise ModelIOError(f"k_bits={layer.k_bits} does not fit a model file "
+                               f"(1 to {_MAX_K_BITS})")
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(MAGIC)

@@ -14,6 +14,12 @@ real-valued weights on every forward, so the optimizer only ever touches
 real parameters. Gradients flow through the binarized weights, with the
 straight-through estimator standing in for the sign function's derivative.
 
+Each binarization rule is written once: the filter scale alpha = mean|W| in
+``binarize.filter_alphas``, the estimator's gate in ``_sign_derivative``
+(used by ``ste_backward_sign`` and ``weight_gradient``, for inputs, weights
+and learned-scale weights alike), the input quantizer in ``_quantize``, and
+the full-precision first and last conv in ``_inner_convs``.
+
 Two block orderings are constructible: the conventional conv -> batchnorm ->
 binary activation -> pool, and the reordering batchnorm -> binary activation
 -> binary conv -> pool that binarizes freshly normalized inputs and pools
@@ -26,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .binarize import quantize_kbit, window_mean
+from .binarize import filter_alphas, quantize_kbit, window_mean
 from .tensor import ConvGeometry, ShapeError, sign, windows
 
 BLOCK_ORDERS = ("C-B-A-P", "B-A-C-P")
@@ -47,22 +53,25 @@ class Param:
 # gradient building blocks
 
 
-def ste_backward_sign(upstream, pre_activation, variant: str = "indicator"):
-    """Straight-through estimator for sign: pass gradient where |r| <= 1.
+def _sign_derivative(r, dtype, variant: str):
+    """The straight-through stand-in for d sign(r)/dr: 1 where |r| <= 1 and 0
+    elsewhere ("indicator"), or r where |r| <= 1 ("scaled", the alternative
+    reading of the estimator)."""
+    gate = (np.abs(r) <= 1.0).astype(dtype)
+    if variant == "scaled":
+        return gate * r
+    if variant != "indicator":
+        raise ValueError(f"unknown STE variant {variant!r}")
+    return gate
 
-    variant="scaled" multiplies by r as well (the alternative reading of the
-    estimator); "indicator" is the default.
-    """
+
+def ste_backward_sign(upstream, pre_activation, variant: str = "indicator"):
+    """Straight-through estimator for sign: pass gradient where |r| <= 1."""
     upstream = np.asarray(upstream)
     pre = np.asarray(pre_activation)
     if upstream.shape != pre.shape:
         raise ShapeError(f"shape mismatch {upstream.shape} vs {pre.shape}")
-    gate = (np.abs(pre) <= 1.0).astype(upstream.dtype)
-    if variant == "scaled":
-        gate = gate * pre
-    elif variant != "indicator":
-        raise ValueError(f"unknown STE variant {variant!r}")
-    return upstream * gate
+    return upstream * _sign_derivative(pre, upstream.dtype, variant)
 
 
 def weight_gradient(upstream_wrt_wtilde, W, alpha: float, variant: str = "indicator"):
@@ -72,29 +81,15 @@ def weight_gradient(upstream_wrt_wtilde, W, alpha: float, variant: str = "indica
     W = np.asarray(W)
     if g.shape != W.shape:
         raise ShapeError(f"shape mismatch {g.shape} vs {W.shape}")
-    gate = (np.abs(W) <= 1.0).astype(g.dtype)
-    if variant == "scaled":
-        gate = gate * W
-    elif variant != "indicator":
-        raise ValueError(f"unknown STE variant {variant!r}")
-    return g * (1.0 / W.size + gate * alpha)
+    return g * (1.0 / W.size + _sign_derivative(W, g.dtype, variant) * alpha)
 
 
-def weight_gradient_full(upstream_wrt_wtilde, W, alpha: float, variant: str = "indicator"):
-    """Full-Jacobian variant: includes the off-diagonal coupling of every
-    weight to the shared scale (the per-element form keeps only the
-    diagonal).  Available for experimentation; not the default."""
-    g = np.asarray(upstream_wrt_wtilde)
-    W = np.asarray(W)
-    if g.shape != W.shape:
-        raise ShapeError(f"shape mismatch {g.shape} vs {W.shape}")
-    s = sign(W)
-    gate = (np.abs(W) <= 1.0).astype(g.dtype)
-    if variant == "scaled":
-        gate = gate * W
-    elif variant != "indicator":
-        raise ValueError(f"unknown STE variant {variant!r}")
-    return s * (np.sum(g * s) / W.size) + alpha * gate * g
+def _quantize(x, k_bits: int):
+    """A binarized input: sign(x) at k_bits = 1, otherwise the k-bit
+    quantizer on x clipped to [-1, 1]."""
+    if k_bits == 1:
+        return sign(x)
+    return quantize_kbit(np.clip(x, -1.0, 1.0), k_bits).astype(x.dtype)
 
 
 def loss_softmax_nll(logits, labels):
@@ -214,8 +209,7 @@ class Conv2d(Layer):
 
     def __init__(self, in_ch, out_ch, filt_hw, stride=1, pad=0, *,
                  binarize_weights=False, binarize_input=False, learned_scale=False,
-                 k_bits=1, ste_variant="indicator", full_jacobian=False,
-                 binary_gradient=False, rng=None):
+                 k_bits=1, ste_variant="indicator", binary_gradient=False, rng=None):
         self.in_ch = in_ch
         self.out_ch = out_ch
         self.geom = ConvGeometry(filt_hw=tuple(filt_hw), stride=stride, pad=pad)
@@ -224,7 +218,6 @@ class Conv2d(Layer):
         self.learned_scale = learned_scale
         self.k_bits = k_bits
         self.ste_variant = ste_variant
-        self.full_jacobian = full_jacobian
         self.binary_gradient = binary_gradient
         rng = rng or np.random.default_rng()
         fan_in = in_ch * filt_hw[0] * filt_hw[1]
@@ -235,7 +228,6 @@ class Conv2d(Layer):
         if learned_scale:
             self.alpha = Param("alpha", np.ones(out_ch, dtype=np.float32))
         self.binarize_count = 0
-        self.last_wtilde = None
         # per-filter scales of weights loaded from packed bits: the weights
         # are then alpha * sign and no longer binarized on forward
         self.frozen_alphas = None
@@ -255,7 +247,7 @@ class Conv2d(Layer):
         sgn = sign(W)
         if self.learned_scale:
             return sgn, None
-        alphas = np.abs(W).mean(axis=(1, 2, 3))
+        alphas = filter_alphas(W)
         return alphas[:, None, None, None] * sgn, alphas
 
     def forward(self, x, train: bool):
@@ -263,17 +255,13 @@ class Conv2d(Layer):
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise ShapeError(f"expected (N, {self.in_ch}, H, W), got {x.shape}")
         wtilde, alphas = self.effective_weights()
-        self.last_wtilde = wtilde
 
         K = None
         conv_in = x
         pad_value = 0.0
         if self.binarize_input:
             K = window_mean(np.abs(x).mean(axis=1), self.geom).astype(x.dtype)
-            if self.k_bits == 1:
-                conv_in = sign(x)
-            else:
-                conv_in = quantize_kbit(np.clip(x, -1.0, 1.0), self.k_bits).astype(x.dtype)
+            conv_in = _quantize(x, self.k_bits)
             # zero padding is quantized like any other input value: sign(0) = +1
             pad_value = float(quantize_kbit(0.0, self.k_bits))
 
@@ -316,12 +304,12 @@ class Conv2d(Layer):
 
         if self.binarize_weights and not self.learned_scale:
             gw = np.empty_like(self.weight.value)
-            fn = weight_gradient_full if self.full_jacobian else weight_gradient
             for k in range(self.out_ch):
-                gw[k] = fn(gwtilde[k], self.weight.value[k], float(alphas[k]), self.ste_variant)
-        elif self.binarize_weights and self.learned_scale:
-            gate = (np.abs(self.weight.value) <= 1.0).astype(gwtilde.dtype)
-            gw = gwtilde * gate * self.alpha.value[:, None, None, None]
+                gw[k] = weight_gradient(gwtilde[k], self.weight.value[k], float(alphas[k]),
+                                        self.ste_variant)
+        elif self.binarize_weights:
+            # W~ = sign(W): the learned scale is already in g, and so in gwtilde
+            gw = ste_backward_sign(gwtilde, self.weight.value, self.ste_variant)
         else:
             gw = gwtilde
         self.weight.grad = gw.astype(self.weight.value.dtype)
@@ -406,9 +394,7 @@ class BinaryActivation(Layer):
     def forward(self, x, train: bool):
         x = np.asarray(x)
         self._tape = x if train else None
-        if self.k_bits == 1:
-            return sign(x)
-        return quantize_kbit(np.clip(x, -1.0, 1.0), self.k_bits).astype(x.dtype)
+        return _quantize(x, self.k_bits)
 
     def backward(self, g):
         return ste_backward_sign(g, self._pop_tape(), self.ste_variant)
@@ -428,12 +414,13 @@ class _Pool(Layer):
             raise ShapeError(f"pool window {s} too large for input {x_shape}")
         return oh, ow
 
-    def _blocks(self, x):
-        n, c = x.shape[:2]
+    def _taps(self, oh, ow):
+        """Tap (dy, dx) of every window at once, as a strided-slice index, in
+        row-major window order; rows and columns past the last whole window
+        are dropped."""
         s = self.size
-        oh, ow = self._out_hw(x.shape)
-        x = x[:, :, :oh * s, :ow * s]
-        return x.reshape(n, c, oh, s, ow, s).transpose(0, 1, 2, 4, 3, 5), (oh, ow)
+        return [(slice(None), slice(None), slice(dy, oh * s, s), slice(dx, ow * s, s))
+                for dy in range(s) for dx in range(s)]
 
 
 class MaxPool2d(_Pool):
@@ -443,14 +430,6 @@ class MaxPool2d(_Pool):
     maximum in row-major window order, so ties (constant among sign
     inputs) go to the lowest (dy, dx).
     """
-
-    def _taps(self, oh, ow):
-        """Tap (dy, dx) of every window at once, as a strided-slice index, in
-        row-major window order; rows and columns past the last whole window
-        are dropped."""
-        s = self.size
-        return [(slice(None), slice(None), slice(dy, oh * s, s), slice(dx, ow * s, s))
-                for dy in range(s) for dx in range(s)]
 
     def forward(self, x, train: bool):
         x = np.asarray(x)
@@ -482,19 +461,24 @@ class MaxPool2d(_Pool):
 
 
 class AvgPool2d(_Pool):
+    """Mean over non-overlapping s x s windows: each window row's taps are
+    summed, then the rows, then divided by s * s."""
+
     def forward(self, x, train: bool):
         x = np.asarray(x)
-        blocks, (oh, ow) = self._blocks(x)
-        self._tape = (x.shape, (oh, ow)) if train else None
-        return blocks.mean(axis=(-2, -1))
+        s = self.size
+        taps = self._taps(*self._out_hw(x.shape))
+        self._tape = x.shape if train else None
+        rows = (sum(x[t] for t in taps[i:i + s]) for i in range(0, s * s, s))
+        return sum(rows) / (s * s)
 
     def backward(self, g):
-        x_shape, (oh, ow) = self._pop_tape()
+        x_shape = self._pop_tape()
         s = self.size
         g = np.asarray(g) / (s * s)
         gx = np.zeros(x_shape, dtype=g.dtype)
-        up = np.repeat(np.repeat(g, s, axis=2), s, axis=3)
-        gx[:, :, :oh * s, :ow * s] = up
+        for t in self._taps(*g.shape[2:]):
+            gx[t] = g
         return gx
 
 
@@ -523,6 +507,17 @@ class LayerSpec:
             raise ValueError(f"unknown layer kind {self.kind!r}")
 
 
+def _inner_convs(specs: list[LayerSpec]) -> list[LayerSpec]:
+    """Make the first and last conv of `specs` full precision, in place, and
+    return the convs between them."""
+    convs = [s for s in specs if s.kind in ("conv", "binconv")]
+    for s in convs[:1] + convs[-1:]:
+        s.kind = "conv"
+        s.binarize_weights = False
+        s.binarize_input = False
+    return convs[1:-1]
+
+
 def apply_mode(specs: list[LayerSpec], mode: str) -> list[LayerSpec]:
     """Set binarization flags for a run mode: full, bwn, or xnor.
 
@@ -532,22 +527,10 @@ def apply_mode(specs: list[LayerSpec], mode: str) -> list[LayerSpec]:
     if mode not in ("full", "bwn", "xnor"):
         raise ValueError(f"unknown mode {mode!r}")
     out = [replace(s) for s in specs]
-    conv_idx = [i for i, s in enumerate(out) if s.kind in ("conv", "binconv")]
-    for pos, i in enumerate(conv_idx):
-        s = out[i]
-        eligible = pos not in (0, len(conv_idx) - 1)
-        if mode == "full" or not eligible:
-            s.kind = "conv"
-            s.binarize_weights = False
-            s.binarize_input = False
-        elif mode == "bwn":
-            s.kind = "binconv"
-            s.binarize_weights = True
-            s.binarize_input = False
-        else:  # xnor
-            s.kind = "binconv"
-            s.binarize_weights = True
-            s.binarize_input = True
+    for s in _inner_convs(out):
+        s.kind = "conv" if mode == "full" else "binconv"
+        s.binarize_weights = mode != "full"
+        s.binarize_input = mode == "xnor"
     return out
 
 
@@ -566,10 +549,9 @@ def conv_block(order: str, out_ch: int, k: int = 3, pad: int = 1, pool: int = 2)
 class Network:
     """A straight chain of layers plus the input shape it was built for."""
 
-    def __init__(self, layers: list[Layer], input_shape, specs=None):
+    def __init__(self, layers: list[Layer], input_shape):
         self.layers = layers
         self.input_shape = tuple(input_shape)
-        self.specs = specs
         self._forward_ran = False
 
     def params(self) -> list[Param]:
@@ -614,7 +596,7 @@ class Network:
 
 def build_network(specs: list[LayerSpec], input_shape, seed: int = 0, *,
                   ste_variant: str = "indicator", k_bits: int = 1,
-                  full_jacobian: bool = False, binary_gradient: bool = False) -> Network:
+                  binary_gradient: bool = False) -> Network:
     """Assemble a Network from LayerSpecs, inferring channel counts and
     spatial extents along the chain.
 
@@ -627,11 +609,7 @@ def build_network(specs: list[LayerSpec], input_shape, seed: int = 0, *,
     if specs and specs[-1].kind == "softmax-nll":
         specs = specs[:-1]
 
-    conv_positions = [i for i, s in enumerate(specs) if s.kind in ("conv", "binconv")]
-    for i in (conv_positions[:1] + conv_positions[-1:]):
-        specs[i].binarize_weights = False
-        specs[i].binarize_input = False
-        specs[i].kind = "conv"
+    _inner_convs(specs)
 
     rng = np.random.default_rng(seed)
     c, h, w = input_shape
@@ -645,7 +623,6 @@ def build_network(specs: list[LayerSpec], input_shape, seed: int = 0, *,
                            binarize_input=s.binarize_input,
                            learned_scale=s.learned_scale,
                            k_bits=k_bits, ste_variant=ste_variant,
-                           full_jacobian=full_jacobian,
                            binary_gradient=binary_gradient, rng=rng)
             h, w = layer.geom.out_hw((h, w))
             c = s.out_ch
@@ -666,4 +643,4 @@ def build_network(specs: list[LayerSpec], input_shape, seed: int = 0, *,
                 raise ShapeError(f"pooling exhausted spatial extent at {s}")
         else:  # pragma: no cover - guarded by LayerSpec.__post_init__
             raise ValueError(f"unhandled kind {s.kind}")
-    return Network(layers, input_shape, specs=specs)
+    return Network(layers, input_shape)

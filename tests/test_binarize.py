@@ -6,10 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from xbnn.binarize import (
-    binarize_gradient,
     binarize_weights,
     binary_dot_factors,
     compute_beta_map,
+    filter_alphas,
     quantize_kbit,
     window_mean,
 )
@@ -70,6 +70,21 @@ class TestBinarizeWeights:
         f2 = binarize_weights(2.5 * W)
         np.testing.assert_array_equal(unpack(f1.bits), unpack(f2.bits))
         assert f2.alpha == pytest.approx(2.5 * f1.alpha)
+
+
+class TestFilterAlphas:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 299), st.integers(1, 5),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+    def test_equals_per_axis_and_flat_means(self, k_out, c, k, dtype, seed):
+        # the forms training (mean over (c, fh, fw)) and the packed filters
+        # (mean of the flattened filter) used before they shared this one
+        bank = np.random.default_rng(seed).normal(size=(k_out, c, k, k)).astype(dtype)
+        alphas = filter_alphas(bank)
+        assert alphas.dtype == dtype
+        np.testing.assert_array_equal(alphas, np.abs(bank).mean(axis=(1, 2, 3)))
+        for w, alpha in zip(bank, alphas):
+            assert binarize_weights(w).alpha == float(np.abs(w.reshape(-1)).mean()) == alpha
 
 
 class TestBinaryDotFactors:
@@ -243,19 +258,3 @@ class TestQuantizeKbit:
         x = np.array([0.9, 0.2, 0.0001])
         np.testing.assert_allclose(quantize_kbit(-x, 1), -quantize_kbit(x, 1))
 
-
-class TestBinarizeGradient:
-    def test_hand_example(self):
-        pattern, scale = binarize_gradient(np.array([0.1, -0.4, 0.2]))
-        assert scale == pytest.approx(0.4)
-        np.testing.assert_array_equal(pattern, [1.0, -1.0, 1.0])
-
-    def test_all_zero(self):
-        pattern, scale = binarize_gradient(np.zeros(3))
-        assert scale == 0.0
-        np.testing.assert_array_equal(pattern, [1.0, 1.0, 1.0])
-
-    def test_single_element(self):
-        pattern, scale = binarize_gradient(np.array([-5.0]))
-        assert scale == 5.0
-        np.testing.assert_array_equal(pattern, [-1.0])

@@ -284,6 +284,25 @@ class TestConvXnor:
         beta_muls = 10 * 10 + n_i
         assert counters.real_mul <= 2 * n_i + beta_muls
 
+    def test_degenerate_filter_in_bank(self):
+        rng = np.random.default_rng(12)
+        I = rng.normal(size=(3, 6, 6)).astype(np.float32)
+        bank = rng.normal(size=(3, 3, 3, 3)).astype(np.float32)
+        bank[1] = 0.0
+        geom = ConvGeometry(filt_hw=(3, 3), pad=1, stride=2)
+        filters = [binarize_weights(w) for w in bank]
+        assert filters[1].degenerate
+        counters = OpCounters()
+        out = conv_xnor_layer(I, filters, geom, counters)
+        np.testing.assert_array_equal(out[1], np.zeros(geom.out_hw((6, 6))))
+        live = [0, 2]
+        live_counters = OpCounters()
+        np.testing.assert_array_equal(
+            out[live], conv_xnor_layer(I, [filters[k] for k in live], geom, live_counters))
+        # the zero filter adds no XNOR, popcount or scale work
+        assert counters == live_counters
+        assert counters.xnor_word == len(live) * out[0].size  # 27 bits fit one word
+
 
 class TestCountOps:
     def test_paper_shape_counts(self):

@@ -4,6 +4,7 @@ import pytest
 from xbnn.data import Dataset
 from xbnn.modelio import (
     BadMagicError,
+    ModelIOError,
     SizeMismatchError,
     TruncatedFileError,
     UnsupportedVersionError,
@@ -14,11 +15,22 @@ from xbnn.modelio import (
     network_arch,
     save,
 )
-from xbnn.nn import LayerSpec, apply_mode, build_network
+from xbnn.nn import (
+    AvgPool2d,
+    BatchNorm2d,
+    BinaryActivation,
+    Conv2d,
+    LayerSpec,
+    MaxPool2d,
+    ReLU,
+    apply_mode,
+    build_network,
+    conv_block,
+)
 from xbnn.train import SGDMomentum, evaluate, train_step
 
 
-def random_net(seed, mode="bwn"):
+def random_net(seed, mode="bwn", k_bits=1):
     rng = np.random.default_rng(seed)
     specs = [
         LayerSpec(kind="conv", out_ch=int(rng.integers(2, 6)), k=3, pad=1),
@@ -30,7 +42,7 @@ def random_net(seed, mode="bwn"):
         LayerSpec(kind="avgpool", k=2),
         LayerSpec(kind="conv", out_ch=5),
     ]
-    net = build_network(apply_mode(specs, mode), (2, 8, 8), seed=seed)
+    net = build_network(apply_mode(specs, mode), (2, 8, 8), seed=seed, k_bits=k_bits)
     # perturb batchnorm state so round trips cover non-default values
     for layer in net.layers:
         if hasattr(layer, "running_mean"):
@@ -181,6 +193,62 @@ class TestErrors:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(SizeMismatchError):
             load(path)
+
+
+class TestKBits:
+    @pytest.mark.parametrize("pack", [False, True], ids=["raw", "packed"])
+    @pytest.mark.parametrize("k_bits", [2, 3])
+    def test_round_trip_keeps_k_bits(self, tmp_path, k_bits, pack):
+        net = random_net(k_bits, mode="xnor", k_bits=k_bits)
+        path = tmp_path / "k.xbn"
+        save(net, path, pack_binarized=pack)
+        loaded = load(path)
+        assert [l.k_bits for l in loaded.conv_layers()] == [k_bits] * 3
+        x = np.random.default_rng(k_bits).normal(size=(4, 2, 8, 8)).astype(np.float32)
+        np.testing.assert_array_equal(net.forward(x, train=False),
+                                      loaded.forward(x, train=False))
+
+    @pytest.mark.parametrize("k_bits", [1, 2, 16])
+    def test_stored_in_conv_flags_high_nibble(self, tmp_path, k_bits):
+        # so a k_bits = 1 conv keeps the flags byte files had before k_bits was stored
+        path = tmp_path / "k.xbn"
+        save(random_net(0, mode="xnor", k_bits=k_bits), path)
+        flags = path.read_bytes()[21]  # the first layer record starts at byte 20
+        assert flags >> 4 == k_bits - 1
+
+    @pytest.mark.parametrize("k_bits", [0, 17])
+    def test_unstorable_k_bits_rejected(self, tmp_path, k_bits):
+        net = random_net(0, mode="xnor")
+        net.conv_layers()[1].k_bits = k_bits
+        path = tmp_path / "k.xbn"
+        with pytest.raises(ModelIOError, match="k_bits"):
+            save(net, path)
+        assert not path.exists()
+
+
+def test_layers_keep_the_attributes_their_init_sets(tmp_path):
+    # no step of a network's life adds an attribute __init__ does not declare
+    declared = {type(layer): set(vars(layer)) | {"_tape"}
+                for layer in (Conv2d(1, 1, (1, 1)), BatchNorm2d(1), ReLU(), BinaryActivation(),
+                              MaxPool2d(2), AvgPool2d(2))}
+    specs = [LayerSpec(kind="conv", out_ch=3, k=3, pad=1), LayerSpec(kind="maxpool", k=2)]
+    specs += conv_block("C-B-A-P", out_ch=4, pool=1)[:-1]
+    specs += [LayerSpec(kind="binconv", out_ch=4, k=3, pad=1, learned_scale=True),
+              LayerSpec(kind="relu"), LayerSpec(kind="avgpool", k=2),
+              LayerSpec(kind="conv", out_ch=5)]
+    net = build_network(apply_mode(specs, "xnor"), (2, 8, 8), seed=0)
+    rng = np.random.default_rng(0)
+    images = rng.normal(size=(16, 2, 8, 8)).astype(np.float32)
+    train_step(net, (images, rng.integers(0, 5, 16)), SGDMomentum(lr=0.05))
+    nets = [net]
+    for pack in (False, True):
+        save(net, tmp_path / "m.xbn", pack_binarized=pack)
+        nets.append(load(tmp_path / "m.xbn"))
+    for n in nets:
+        n.forward(images, train=False)
+        for layer in n.layers:
+            assert set(vars(layer)) <= declared[type(layer)], type(layer).__name__
+    assert {type(layer) for layer in net.layers} == set(declared)
 
 
 class TestMemoryFootprint:

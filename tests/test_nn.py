@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -22,7 +24,6 @@ from xbnn.nn import (
     loss_softmax_nll,
     ste_backward_sign,
     weight_gradient,
-    weight_gradient_full,
 )
 from xbnn.tensor import ConvGeometry, ShapeError, sign
 
@@ -112,26 +113,8 @@ class TestWeightGradient:
             # d alpha/dW_i = sign(W_i)/n, so d wtilde_i/dW_i = B_i*sign(W_i)/n = 1/n
             assert fd * B[i] * sign(np.array([W[i]]))[0] == pytest.approx(1.0 / n, rel=1e-4)
 
-    def test_full_jacobian_variant_matches_frozen_sign_fd(self):
-        # With signs frozen, wtilde(W) = mean(|W|) * B is differentiable, so
-        # the full-Jacobian alpha term must match finite differences exactly.
-        rng = np.random.default_rng(3)
-        W = rng.uniform(0.2, 0.9, size=8) * np.where(rng.random(8) < 0.5, 1, -1)
-        B = sign(W)
-        G = rng.normal(size=8)
 
-        def objective():
-            return float(G @ (np.abs(W).mean() * B))
-
-        fd = numeric_grad(objective, W)
-        analytic = sign(W) * (G @ B) / W.size  # alpha-path part of the full Jacobian
-        np.testing.assert_allclose(fd, analytic, rtol=1e-6, atol=1e-9)
-        # and weight_gradient_full with alpha=0 STE gate reduces to that term
-        got = weight_gradient_full(G, W * 10, 0.0)  # |W*10| > 1 kills the STE term
-        np.testing.assert_allclose(got, sign(W) * (G @ sign(W * 10)) / W.size)
-
-
-@pytest.mark.parametrize("fn", [weight_gradient, weight_gradient_full])
+@pytest.mark.parametrize("fn", [weight_gradient])
 class TestWeightGradientErrors:
     def test_unknown_variant_rejected(self, fn):
         with pytest.raises(ValueError, match="unknown STE variant"):
@@ -188,6 +171,16 @@ def reference_maxpool(x, s, g):
     gx[:, :, :oh * s, :ow * s] = (gflat.reshape(n, c, oh, ow, s, s)
                                   .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh * s, ow * s))
     return out, gx
+
+
+def reference_avgpool(x, s, g):
+    """6-D block-reshape average pool: returns (output, input gradient)."""
+    n, c, h, w = x.shape
+    oh, ow = h // s, w // s
+    blocks = x[:, :, :oh * s, :ow * s].reshape(n, c, oh, s, ow, s).transpose(0, 1, 2, 4, 3, 5)
+    gx = np.zeros(x.shape, dtype=g.dtype)
+    gx[:, :, :oh * s, :ow * s] = np.repeat(np.repeat(g / (s * s), s, axis=2), s, axis=3)
+    return blocks.mean(axis=(-2, -1)), gx
 
 
 def reference_relu(x, g):
@@ -249,6 +242,24 @@ class TestReferenceEquivalence:
         np.testing.assert_array_equal(pool.forward(x, train=False), want_out)
         out = pool.forward(x, train=True)
         np.testing.assert_array_equal(out, want_out)
+        gx = pool.backward(g)
+        assert gx.dtype == want_gx.dtype
+        np.testing.assert_array_equal(gx, want_gx)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pool_cases())
+    def test_avgpool_matches_block_mean_reference(self, case):
+        # np.mean sums each block in an order numpy's iterator picks (row by
+        # row for most shapes, but not when the output is one window wide),
+        # so the forward agrees to the rounding of a s*s-term sum
+        x, s, g = case
+        want_out, want_gx = reference_avgpool(x, s, g)
+        pool = AvgPool2d(s)
+        np.testing.assert_array_equal(pool.forward(x, train=False), pool.forward(x, train=True))
+        out = pool.forward(x, train=True)
+        assert out.dtype == want_out.dtype
+        bound = s * s * np.finfo(x.dtype).eps * max(np.abs(x).max(), 1e-30)
+        assert np.abs(out - want_out).max() <= bound
         gx = pool.backward(g)
         assert gx.dtype == want_gx.dtype
         np.testing.assert_array_equal(gx, want_gx)
@@ -370,7 +381,7 @@ def reference_conv(layer, x, g):
     if layer.binarize_input:
         gx = ste_backward_sign(gx, x)
     if learned:
-        gw = gwt * (np.abs(W) <= 1.0) * layer.alpha.value[:, None, None, None]
+        gw = gwt * (np.abs(W) <= 1.0)  # alpha is already in g
     elif layer.binarize_weights:
         gw = np.stack([weight_gradient(gwt[k], W[k], float(alphas[k])) for k in range(k_out)])
     else:
@@ -694,6 +705,40 @@ class TestBinarizedConvLayer:
         np.testing.assert_allclose(layer.alpha.grad, fd, rtol=1e-5, atol=1e-8)
 
 
+def learned_scale_and_identity_gradients(variant):
+    """Weight gradients of a learned-scale layer with |W| < 1 and of its
+    surrogate with sign replaced by the identity, out = alpha * conv(x, W)."""
+    rng = np.random.default_rng(23)
+    alpha = np.array([0.5, 2.0, 3.0, 0.25])
+    layer = Conv2d(3, 4, (3, 3), pad=1, binarize_weights=True, learned_scale=True,
+                   ste_variant=variant)
+    layer.weight.value = rng.uniform(-0.9, 0.9, size=layer.weight.value.shape)
+    layer.alpha.value = alpha.copy()
+    x = rng.normal(size=(2, 3, 5, 5))
+    g = rng.normal(size=(2, 4, 5, 5))
+    layer.forward(x, train=True)
+    layer.backward(g)
+    identity = Conv2d(3, 4, (3, 3), pad=1)
+    identity.weight.value = layer.weight.value.copy()
+    identity.forward(x, train=True)
+    identity.backward(g * _bcast(alpha))
+    return layer.weight.value, layer.weight.grad, identity.weight.grad
+
+
+class TestLearnedScaleWeightGradient:
+    def test_matches_identity_surrogate_inside_window(self):
+        # inside the STE window d sign/dW = 1, so the chain rule leaves exactly
+        # the surrogate's gradient; alpha enters once, through the output
+        _, got, want = learned_scale_and_identity_gradients("indicator")
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_scaled_variant_applies(self):
+        W, got, want = learned_scale_and_identity_gradients("scaled")
+        np.testing.assert_allclose(got, want * W, rtol=1e-12, atol=0)
+        _, indicator, _ = learned_scale_and_identity_gradients("indicator")
+        assert not np.allclose(got, indicator)
+
+
 class TestBlockOrders:
     def test_conv_block_shapes(self):
         bacp = conv_block("B-A-C-P", out_ch=8)
@@ -731,7 +776,65 @@ class TestBlockOrders:
         np.testing.assert_array_equal(a, b)
 
 
+def reference_apply_mode(specs, mode):
+    """apply_mode as one loop over conv positions, each mode spelled out."""
+    out = [replace(s) for s in specs]
+    conv_idx = [i for i, s in enumerate(out) if s.kind in ("conv", "binconv")]
+    for pos, i in enumerate(conv_idx):
+        s = out[i]
+        if mode == "full" or pos in (0, len(conv_idx) - 1):
+            s.kind, s.binarize_weights, s.binarize_input = "conv", False, False
+        elif mode == "bwn":
+            s.kind, s.binarize_weights, s.binarize_input = "binconv", True, False
+        else:
+            s.kind, s.binarize_weights, s.binarize_input = "binconv", True, True
+    return out
+
+
+def reference_build_flags(specs):
+    """(binarize_weights, binarize_input) per conv once build_network forces
+    the first and last conv to full precision."""
+    specs = [replace(s) for s in specs]
+    conv_idx = [i for i, s in enumerate(specs) if s.kind in ("conv", "binconv")]
+    for i in conv_idx[:1] + conv_idx[-1:]:
+        specs[i].binarize_weights = specs[i].binarize_input = False
+    return [(specs[i].binarize_weights, specs[i].binarize_input) for i in conv_idx]
+
+
+@st.composite
+def spec_lists(draw):
+    """Chains of 1x1 convs (any kind and flags) and shape-keeping layers."""
+    specs = []
+    for kind in draw(st.lists(st.sampled_from(["conv", "binconv", "batchnorm", "relu",
+                                                "binactiv"]), max_size=8)):
+        if kind in ("conv", "binconv"):
+            specs.append(LayerSpec(kind=kind, out_ch=draw(st.integers(1, 3)), k=1,
+                                   binarize_weights=draw(st.booleans()),
+                                   binarize_input=draw(st.booleans()),
+                                   learned_scale=draw(st.booleans())))
+        else:
+            specs.append(LayerSpec(kind=kind))
+    return specs
+
+
 class TestSpecsAndModes:
+    @settings(max_examples=150, deadline=None)
+    @given(spec_lists())
+    def test_apply_mode_matches_reference(self, specs):
+        before = [replace(s) for s in specs]
+        for mode in ("full", "bwn", "xnor"):
+            assert apply_mode(specs, mode) == reference_apply_mode(specs, mode)
+        assert specs == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec_lists())
+    def test_build_flags_match_reference(self, specs):
+        before = [replace(s) for s in specs]
+        net = build_network(specs, (2, 3, 3), seed=0)
+        got = [(l.binarize_weights, l.binarize_input) for l in net.conv_layers()]
+        assert got == reference_build_flags(specs)
+        assert specs == before
+
     def test_apply_mode_xnor_flags_middle_layers(self):
         specs = [
             LayerSpec(kind="conv", out_ch=4, k=3),
