@@ -74,14 +74,23 @@ def ste_backward_sign(upstream, pre_activation, variant: str = "indicator"):
     return upstream * _sign_derivative(pre, upstream.dtype, variant)
 
 
-def weight_gradient(upstream_wrt_wtilde, W, alpha: float, variant: str = "indicator"):
+def weight_gradient(upstream_wrt_wtilde, W, alpha, variant: str = "indicator"):
     """Map the gradient w.r.t. the binarized weights back onto the real ones:
-    per element, g_i * (1/n + d_sign(W_i) * alpha) with n = W.size."""
+    per element, g_i * (1/n + d_sign(W_i) * alpha) with n the size of one
+    filter. W is one filter with a scalar alpha, or a (K, ...) bank of
+    filters with a (K,) vector of their alphas."""
     g = np.asarray(upstream_wrt_wtilde)
     W = np.asarray(W)
     if g.shape != W.shape:
         raise ShapeError(f"shape mismatch {g.shape} vs {W.shape}")
-    return g * (1.0 / W.size + _sign_derivative(W, g.dtype, variant) * alpha)
+    alpha = np.asarray(alpha, dtype=g.dtype)
+    n = W.size
+    if alpha.ndim:
+        if alpha.shape != W.shape[:1]:
+            raise ShapeError(f"expected {W.shape[:1]} filter scales, got {alpha.shape}")
+        n //= len(alpha)
+        alpha = alpha.reshape(-1, *(1,) * (W.ndim - 1))
+    return g * (1.0 / n + _sign_derivative(W, g.dtype, variant) * alpha)
 
 
 def _quantize(x, k_bits: int):
@@ -202,9 +211,16 @@ class Conv2d(Layer):
     integer (+-1 inputs times +-1 weights) the output is exact; elsewhere it
     differs from other summation orders by float rounding only. A train
     forward keeps the strided view of the padded input on its tape; the
-    backward copies it into a full-batch column matrix once, takes the
-    weight gradient from it and scatters W.T @ g back with fh*fw strided
-    adds.
+    backward copies it into a full-batch column matrix and takes the weight
+    gradient from it with one ``tensordot`` gemm. A binarized bank maps that
+    gradient back onto the real weights in one broadcast ``weight_gradient``
+    call. The input gradient scatters W.T @ g back with fh*fw strided adds.
+
+    ``tensordot`` transposes the columns into a second copy before its gemm.
+    One copy in (C*fh*fw, N*oh*ow) order, read transposed by the gemm, would
+    save that, but OpenBLAS rounds the transposed gemm differently at small
+    batches (under 16 images at the toy net's first conv), so trained
+    weights would change with the batch remainder.
     """
 
     def __init__(self, in_ch, out_ch, filt_hw, stride=1, pad=0, *,
@@ -303,10 +319,7 @@ class Conv2d(Layer):
             gx = ste_backward_sign(gx, x_pre, self.ste_variant)
 
         if self.binarize_weights and not self.learned_scale:
-            gw = np.empty_like(self.weight.value)
-            for k in range(self.out_ch):
-                gw[k] = weight_gradient(gwtilde[k], self.weight.value[k], float(alphas[k]),
-                                        self.ste_variant)
+            gw = weight_gradient(gwtilde, self.weight.value, alphas, self.ste_variant)
         elif self.binarize_weights:
             # W~ = sign(W): the learned scale is already in g, and so in gwtilde
             gw = ste_backward_sign(gwtilde, self.weight.value, self.ste_variant)
@@ -325,6 +338,12 @@ class BatchNorm2d(Layer):
     b = beta - mean * a, recomputed on every call, and returns x * a + b; it
     differs from gamma * (x - mean) / sqrt(var + eps) + beta only by float32
     rounding.
+
+    Train mode centres the input once and reuses the centred tensor for the
+    variance and, scaled in place, for xhat; forward and backward each reuse
+    one scratch buffer for their products. The float operations and their
+    order are those of np.var and of the textbook form, so the output and
+    every gradient are bit-equal to it.
     """
 
     def __init__(self, channels, eps=1e-5, momentum=0.1):
@@ -351,27 +370,39 @@ class BatchNorm2d(Layer):
             out = x * a[None, :, None, None]
             out += b[None, :, None, None]
             return out
+        count = x.shape[0] * x.shape[2] * x.shape[3]
         mu = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        xhat = x - mu[None, :, None, None]
+        buf = xhat * xhat
+        var = buf.sum(axis=(0, 2, 3)) / count
         m = self.momentum
         self.running_mean = ((1 - m) * self.running_mean + m * mu).astype(self.running_mean.dtype)
         self.running_var = ((1 - m) * self.running_var + m * var).astype(self.running_var.dtype)
         ivar = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mu[None, :, None, None]) * ivar[None, :, None, None]
+        xhat *= ivar[None, :, None, None]
         self._tape = (xhat, ivar)
-        return self.gamma.value[None, :, None, None] * xhat + self.beta.value[None, :, None, None]
+        out = np.multiply(self.gamma.value[None, :, None, None], xhat, out=buf)
+        out += self.beta.value[None, :, None, None]
+        return out
 
     def backward(self, g):
         xhat, ivar = self._pop_tape()
         g = np.asarray(g)
         m = g.shape[0] * g.shape[2] * g.shape[3]
-        self.gamma.grad = (g * xhat).sum(axis=(0, 2, 3)).astype(self.gamma.value.dtype)
+        buf = g * xhat
+        self.gamma.grad = buf.sum(axis=(0, 2, 3)).astype(self.gamma.value.dtype)
         self.beta.grad = g.sum(axis=(0, 2, 3)).astype(self.beta.value.dtype)
+        # gx = ivar * (gxhat - sum(gxhat) / m - xhat * sum(gxhat * xhat) / m),
+        # finished in place in gxhat
         gxhat = g * self.gamma.value[None, :, None, None]
         sum_g = gxhat.sum(axis=(0, 2, 3), keepdims=True)
-        sum_gx = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        ivar_b = ivar[None, :, None, None]
-        return ivar_b * (gxhat - sum_g / m - xhat * sum_gx / m)
+        sum_gx = np.multiply(gxhat, xhat, out=buf).sum(axis=(0, 2, 3), keepdims=True)
+        gxhat -= sum_g / m
+        np.multiply(xhat, sum_gx, out=buf)
+        buf /= m
+        gxhat -= buf
+        gxhat *= ivar[None, :, None, None]
+        return gxhat
 
 
 class ReLU(Layer):
@@ -381,7 +412,7 @@ class ReLU(Layer):
         return np.maximum(x, 0, dtype=x.dtype)
 
     def backward(self, g):
-        return np.where(self._pop_tape(), g, 0)
+        return g * self._pop_tape()
 
 
 class BinaryActivation(Layer):
@@ -454,9 +485,15 @@ class MaxPool2d(_Pool):
     def backward(self, g):
         x_shape, masks = self._pop_tape()
         g = np.asarray(g)
-        gx = np.zeros(x_shape, dtype=g.dtype)
-        for t, mask in zip(self._taps(*masks[0].shape[2:]), masks):
-            np.copyto(gx[t], g, where=mask)
+        oh, ow = masks[0].shape[2:]
+        s = self.size
+        gx = np.empty(x_shape, dtype=g.dtype)
+        # every tap slot is written once below; only the rows and columns
+        # past the last whole window need zeros
+        gx[:, :, oh * s:] = 0
+        gx[:, :, :oh * s, ow * s:] = 0
+        for t, mask in zip(self._taps(oh, ow), masks):
+            np.multiply(g, mask, out=gx[t])
         return gx
 
 
@@ -509,12 +546,14 @@ class LayerSpec:
 
 def _inner_convs(specs: list[LayerSpec]) -> list[LayerSpec]:
     """Make the first and last conv of `specs` full precision, in place, and
-    return the convs between them."""
+    return the convs between them. A full-precision conv has no learned
+    scale: it only scales binarized weights."""
     convs = [s for s in specs if s.kind in ("conv", "binconv")]
     for s in convs[:1] + convs[-1:]:
         s.kind = "conv"
         s.binarize_weights = False
         s.binarize_input = False
+        s.learned_scale = False
     return convs[1:-1]
 
 
@@ -531,6 +570,7 @@ def apply_mode(specs: list[LayerSpec], mode: str) -> list[LayerSpec]:
         s.kind = "conv" if mode == "full" else "binconv"
         s.binarize_weights = mode != "full"
         s.binarize_input = mode == "xnor"
+        s.learned_scale = s.learned_scale and s.binarize_weights
     return out
 
 

@@ -54,8 +54,12 @@ class Adam:
         for i, p in enumerate(params):
             if p.grad is None:
                 continue
-            m = self._m.get(i, np.zeros_like(p.value))
-            v = self._v.get(i, np.zeros_like(p.value))
+            m = self._m.get(i)
+            if m is None:
+                m = np.zeros_like(p.value)
+            v = self._v.get(i)
+            if v is None:
+                v = np.zeros_like(p.value)
             m = b1 * m + (1 - b1) * p.grad
             v = b2 * v + (1 - b2) * p.grad**2
             self._m[i], self._v[i] = m, v

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from xbnn.binarize import binarize_weights, compute_beta_map, window_mean
+from xbnn.binarize import binarize_weights, compute_beta_map, filter_alphas, window_mean
 from xbnn.kernels import conv_xnor_layer
 from xbnn import nn
 from xbnn.nn import (
@@ -26,6 +26,7 @@ from xbnn.nn import (
     weight_gradient,
 )
 from xbnn.tensor import ConvGeometry, ShapeError, sign
+from xbnn.train import SGDMomentum, train_step
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -312,6 +313,28 @@ class TestReferenceEquivalence:
         np.testing.assert_array_equal(bn.gamma.grad, dgamma.astype(dtype))
         np.testing.assert_array_equal(bn.beta.grad, dbeta.astype(dtype))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 6), st.integers(1, 6),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+    def test_batchnorm_train_bit_exact_drawn_shapes(self, n, c, h, w, dtype, seed):
+        # N and H*W go down to 1, where a channel holds one value and its
+        # variance is exactly zero
+        rng = np.random.default_rng(seed)
+        bn = BatchNorm2d(c)
+        bn.gamma.value = rng.normal(size=c).astype(dtype)
+        bn.beta.value = rng.normal(size=c).astype(dtype)
+        x = (rng.normal(size=(n, c, h, w)) * rng.uniform(0.1, 3.0) + rng.normal()).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        out, gx, dgamma, dbeta = reference_batchnorm_train(bn.gamma.value, bn.beta.value,
+                                                           bn.eps, x, g)
+        np.testing.assert_array_equal(bn.forward(x, train=True), out)
+        m = bn.momentum
+        want_var = ((1 - m) * np.ones(c, dtype=np.float32) + m * x.var(axis=(0, 2, 3)))
+        np.testing.assert_array_equal(bn.running_var, want_var.astype(np.float32))
+        np.testing.assert_array_equal(bn.backward(g), gx)
+        np.testing.assert_array_equal(bn.gamma.grad, dgamma.astype(dtype))
+        np.testing.assert_array_equal(bn.beta.grad, dbeta.astype(dtype))
+
 
 # ---------------------------------------------------------------------------
 # reference: the row-major im2col convolution that Conv2d used before its
@@ -486,6 +509,28 @@ class TestConvReferenceEquivalence:
             np.testing.assert_array_equal(a, b)
 
     @settings(max_examples=100, deadline=None)
+    @given(conv_cases(kinds=("bwn", "xnor")), st.sampled_from(["indicator", "scaled"]))
+    def test_binarized_weight_gradient_equals_per_filter_calls(self, case, variant):
+        # the gradient w.r.t. W~ does not depend on W~, so a full-precision
+        # twin with the same input handling has it as its weight gradient
+        layer, n, h, w, rng = case
+        layer.ste_variant = variant
+        twin = Conv2d(layer.in_ch, layer.out_ch, layer.geom.filt_hw, layer.geom.stride,
+                      layer.geom.pad, binarize_input=layer.binarize_input)
+        W = layer.weight.value
+        twin.weight.value = W.copy()
+        x = rng.normal(size=(n, layer.in_ch, h, w)).astype(W.dtype)
+        g = rng.normal(size=(n, layer.out_ch, *layer.geom.out_hw((h, w)))).astype(W.dtype)
+        for conv in (layer, twin):
+            conv.forward(x, train=True)
+            conv.backward(g)
+        alphas = filter_alphas(W)
+        want = np.stack([weight_gradient(twin.weight.grad[k], W[k], float(alphas[k]), variant)
+                         for k in range(layer.out_ch)])
+        assert layer.weight.grad.dtype == want.dtype
+        np.testing.assert_array_equal(layer.weight.grad, want)
+
+    @settings(max_examples=100, deadline=None)
     @given(conv_cases(), st.sampled_from([3, 5, 7]))
     def test_chunked_forward_equals_unchunked(self, case, n):
         layer, _, h, w, rng = case
@@ -521,6 +566,26 @@ def test_backward_needs_its_own_train_forward(make):
     layer.forward(x, train=False)
     with pytest.raises(RuntimeError, match="without a train-mode forward"):
         layer.backward(g)  # an eval forward drops the earlier train tape
+
+
+@pytest.mark.parametrize("make, x_shape", [
+    (ReLU, (2, 3, 5, 5)),
+    (lambda: MaxPool2d(2), (2, 3, 5, 7)),
+    (lambda: MaxPool2d(3), (2, 3, 7, 6)),
+    (lambda: BatchNorm2d(3), (2, 3, 4, 4)),
+    (lambda: Conv2d(3, 4, (3, 3), pad=1, rng=np.random.default_rng(0)), (2, 3, 5, 5)),
+    (lambda: Conv2d(3, 4, (3, 3), stride=2, pad=1, binarize_weights=True, binarize_input=True,
+                    rng=np.random.default_rng(0)), (2, 3, 5, 5)),
+], ids=["relu", "maxpool-ragged-w", "maxpool-ragged-h", "batchnorm", "conv", "binconv"])
+def test_backward_leaves_upstream_gradient_alone(make, x_shape):
+    rng = np.random.default_rng(24)
+    layer = make()
+    x = rng.normal(size=x_shape).astype(np.float32)
+    g = rng.normal(size=layer.forward(x, train=True).shape).astype(np.float32)
+    g_before = g.copy()
+    gx = layer.backward(g)
+    np.testing.assert_array_equal(g, g_before)
+    assert gx.shape == x.shape and not np.shares_memory(gx, g)
 
 
 class TestBatchNorm:
@@ -784,6 +849,7 @@ def reference_apply_mode(specs, mode):
         s = out[i]
         if mode == "full" or pos in (0, len(conv_idx) - 1):
             s.kind, s.binarize_weights, s.binarize_input = "conv", False, False
+            s.learned_scale = False
         elif mode == "bwn":
             s.kind, s.binarize_weights, s.binarize_input = "binconv", True, False
         else:
@@ -860,6 +926,26 @@ class TestSpecsAndModes:
         convs = net.conv_layers()
         assert not convs[0].binarize_weights and not convs[0].binarize_input
         assert not convs[1].binarize_weights
+
+    def test_full_precision_convs_have_no_learned_scale(self):
+        # a learned scale multiplies binarized weights only: the end convs and
+        # every conv in full mode drop it, so every parameter gets a gradient
+        specs = [LayerSpec(kind="conv", out_ch=4, k=3, pad=1, learned_scale=True),
+                 LayerSpec(kind="maxpool", k=2),
+                 LayerSpec(kind="binconv", out_ch=4, k=3, pad=1, learned_scale=True),
+                 LayerSpec(kind="conv", out_ch=3, learned_scale=True)]
+        net = build_network(apply_mode(specs, "xnor"), (1, 6, 6), seed=0)
+        for built in (build_network(specs, (1, 6, 6), seed=0), net):
+            first, _, last = built.conv_layers()
+            assert [p.name for p in first.params()] == ["weight"]
+            assert [p.name for p in last.params()] == ["weight"]
+        assert [p.name for p in net.conv_layers()[1].params()] == ["weight", "alpha"]
+        rng = np.random.default_rng(25)
+        images = rng.normal(size=(4, 1, 6, 6)).astype(np.float32)
+        train_step(net, (images, rng.integers(0, 3, 4)), SGDMomentum(lr=0.01))
+        assert all(p.grad is not None for p in net.params())
+        full = build_network(apply_mode(specs, "full"), (1, 6, 6), seed=0)
+        assert all(conv.alpha is None for conv in full.conv_layers())
 
     def test_softmax_nll_must_be_last(self):
         with pytest.raises(ShapeError):
