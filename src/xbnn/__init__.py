@@ -19,7 +19,6 @@ from .binarize import (
 from .bitpack import PackedBits, pack, unpack, xnor_dot
 from .kernels import (
     OpCounters,
-    PackedPatchMatrix,
     conv_binary_weight,
     conv_binary_weight_layer,
     conv_xnor,
@@ -36,7 +35,6 @@ __all__ = [
     "ConvGeometry",
     "OpCounters",
     "PackedBits",
-    "PackedPatchMatrix",
     "ShapeError",
     "binarize_weights",
     "binary_dot_factors",

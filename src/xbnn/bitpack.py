@@ -4,7 +4,8 @@ Layout (normative for the model file format): bit = 1 means +1, bit = 0 means
 -1; bits are LSB-first within each little-endian word, so element i lives at
 bit (i mod 64) of word (i // 64). Pad bits past the logical length are always
 zero; ``xnor_dot`` corrects for them with a single subtraction instead of
-masking in the hot loop.
+masking in the hot loop. The XNOR layer's channel-major words in ``kernels``
+are an in-memory repacking, built per call and never stored.
 """
 
 from __future__ import annotations
@@ -36,14 +37,12 @@ class PackedBits:
 
 
 def _words_from_bits(bits: np.ndarray) -> np.ndarray:
-    """bits: uint8 0/1 array, one row per vector -> little-endian uint64 words."""
-    n = bits.shape[-1]
-    n_words = (n + WORD_BITS - 1) // WORD_BITS
-    if n_words * WORD_BITS != n:
-        pad_cols = n_words * WORD_BITS - n
-        pad_width = [(0, 0)] * (bits.ndim - 1) + [(0, pad_cols)]
-        bits = np.pad(bits, pad_width)
+    """bits: boolean or 0/1 array, one row per vector -> little-endian uint64
+    words; packed bytes are zero-padded only when a row does not fill them."""
     packed = np.packbits(bits, axis=-1, bitorder="little")
+    pad_bytes = -packed.shape[-1] % (WORD_BITS // 8)
+    if pad_bytes:
+        packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, pad_bytes)])
     return packed.view("<u8").astype(np.uint64, copy=False)
 
 
@@ -54,15 +53,24 @@ def pack(v) -> PackedBits:
         raise ValueError(f"expected a 1-D sign vector, got shape {v.shape}")
     if v.size == 0 or not np.all(np.abs(v) == 1):
         raise ValueError("sign vector must be nonempty with every element exactly +1 or -1")
-    bits = (v > 0).astype(np.uint8)
-    return PackedBits(n=v.size, words=_words_from_bits(bits))
+    return PackedBits(n=v.size, words=_words_from_bits(v > 0))
+
+
+def unpack_bank(words, n: int) -> np.ndarray:
+    """(..., n_words) uint64 words of vectors of length n -> (..., n) uint8
+    0/1 bits, with one unpackbits for the whole bank."""
+    as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(as_bytes, axis=-1, count=n, bitorder="little")
+
+
+def bits_to_signs(bits) -> np.ndarray:
+    """0/1 bits -> float32 +-1 (bit 1 means +1)."""
+    return np.asarray(bits, dtype=np.float32) * 2 - 1
 
 
 def unpack(pb: PackedBits) -> np.ndarray:
     """Inverse of pack: float32 +-1 vector of length pb.n."""
-    as_bytes = pb.words.astype("<u8").view(np.uint8)
-    bits = np.unpackbits(as_bytes, bitorder="little")[: pb.n]
-    return np.where(bits == 1, 1.0, -1.0).astype(np.float32)
+    return bits_to_signs(unpack_bank(pb.words, pb.n))
 
 
 def xnor_dot(a: PackedBits, b: PackedBits) -> int:

@@ -285,11 +285,12 @@ def _time_call(fn, min_time: float = 0.05):
 
 def bench_case(c: int, filt: int, out_extent: int, n_filters: int, seed: int,
                min_time: float = 0.05) -> dict:
+    """conv_xnor_layer against the naive oracle and perfbench's sgemm bar."""
     import numpy as np
 
-    from .binarize import binarize_weights
-    from .kernels import OpCounters, conv2d_reference, conv_xnor_layer
-    from .tensor import ConvGeometry
+    from .binarize import binarize_weights, compute_beta_map
+    from .kernels import OpCounters, conv2d_reference, conv_xnor_layer, im2col
+    from .tensor import ConvGeometry, sign
 
     rng = np.random.default_rng(seed)
     h_in = out_extent + filt - 1
@@ -297,20 +298,31 @@ def bench_case(c: int, filt: int, out_extent: int, n_filters: int, seed: int,
     bank = rng.normal(size=(n_filters, c, filt, filt)).astype(np.float32)
     geom = ConvGeometry(filt_hw=(filt, filt))
     filters = [binarize_weights(w) for w in bank]
+    alphas = np.array([f.alpha for f in filters], dtype=np.float32)
+    signs_t = np.ascontiguousarray(sign(bank.reshape(n_filters, -1)).T)
+
+    def sgemm():
+        out = (sign(im2col(I, geom)) @ signs_t).T.reshape(n_filters, out_extent, out_extent)
+        return out * (compute_beta_map(I, geom).K[None] * alphas[:, None, None])
 
     ref_s, ref_reps = _time_call(lambda: conv2d_reference(I, bank, geom), min_time)
     xnor_s, xnor_reps = _time_call(lambda: conv_xnor_layer(I, filters, geom), min_time)
+    sgemm_s, sgemm_reps = _time_call(sgemm, min_time)
     counters = OpCounters()
-    conv_xnor_layer(I, filters, geom, counters)
+    out = conv_xnor_layer(I, filters, geom, counters)
+    if not np.allclose(sgemm(), out, rtol=1e-5, atol=1e-5 * np.abs(out).max()):
+        raise AssertionError(f"sgemm bar disagrees with conv_xnor_layer at c={c}, {filt}x{filt}")
     return {
         "kernel": "conv_xnor",
         "c": c,
         "n_w": filt * filt,
         "n_i": out_extent * out_extent,
         "filters": n_filters,
-        "reps": max(ref_reps, xnor_reps),
+        "reps": max(ref_reps, xnor_reps, sgemm_reps),
         "ref_ms": ref_s * 1e3,
         "xnor_ms": xnor_s * 1e3,
+        "sgemm_ms": sgemm_s * 1e3,
+        "speedup_vs_sgemm": sgemm_s / xnor_s,
         "speedup_measured": ref_s / xnor_s,
         "speedup_model": speedup_model(c, filt * filt),
         "real_mul": counters.real_mul,
@@ -348,7 +360,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     _write_csv(out / "bench.csv", fields, rows)
     for row in rows:
         print(f"c={row['c']:>5} n_w={row['n_w']:>3}: measured {row['speedup_measured']:6.1f}x "
-              f"(model {row['speedup_model']:6.2f}x)")
+              f"(model {row['speedup_model']:6.2f}x), {row['speedup_vs_sgemm']:5.2f}x vs sgemm")
     print(f"wrote {out / 'bench.csv'}")
     return 0
 

@@ -2,12 +2,12 @@
 tensor), binary-weight convolution (adds/subs plus one scale multiply per
 output), and XNOR convolution (packed XNOR + popcount inner loop).
 
-Both binary paths are im2col-style: receptive fields are flattened to rows
-once per layer invocation, so packing cost and the beta map are amortized
-over all filters of the layer. The rows come from ``tensor.windows``, the
-same receptive-field view the batched ``nn`` layers use, and the beta map
-from ``binarize.window_mean``. Each path has one implementation, the layer
-function; the one-filter functions call it with a one-filter bank.
+Both binary paths read receptive fields once per call from ``tensor.windows``,
+the view the batched ``nn`` layers use, and unpack the filter bank once, so
+the input's cost and the beta map are amortized over all filters. The XNOR
+layer packs signs along channels, ceil(c/64) words per pixel; that in-memory
+(word, fh, fw) layout is not the normative (c, fh, fw) file layout of
+``bitpack``. The one-filter functions call the layer with a one-filter bank.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binarize import BinarizedFilter, compute_beta_map
-from .bitpack import _words_from_bits, unpack
+from .bitpack import WORD_BITS, bits_to_signs, unpack_bank
 from .tensor import ConvGeometry, ShapeError, conv2d_reference, windows
 
 __all__ = [
     "OpCounters",
-    "PackedPatchMatrix",
     "conv2d_reference",
     "conv_binary_weight",
     "conv_binary_weight_layer",
@@ -44,59 +43,45 @@ class OpCounters:
     popcount_word: int = 0
 
 
-@dataclass(frozen=True)
-class PackedPatchMatrix:
-    """One packed sign row per output location, each of length n = c*fh*fw."""
-
-    words: np.ndarray  # (rows, n_words) uint64, canonical pad bits
-    n: int
-    out_hw: tuple[int, int]
-    geom: ConvGeometry
-
-    @property
-    def n_rows(self) -> int:
-        return self.words.shape[0]
-
-    @property
-    def n_words(self) -> int:
-        return self.words.shape[1]
-
-
-def _check_filters(I: np.ndarray, filters: list[BinarizedFilter], geom: ConvGeometry) -> None:
-    """Every filter's channels must match the input's, and its extent the geometry's."""
-    for c, fh, fw in {f.original_shape for f in filters}:
-        if I.ndim != 3 or I.shape[0] != c:
-            raise ShapeError(f"input {I.shape} does not match filter channels {c}")
-        if (fh, fw) != tuple(geom.filt_hw):
-            raise ShapeError(f"filter extent {(fh, fw)} does not match geometry {geom.filt_hw}")
-
-
-def _rows(x: np.ndarray, geom: ConvGeometry, pad_value=0) -> np.ndarray:
-    """Every padded receptive field of one (c, h, w) image as one contiguous
-    row, in the filters' (c, fh, fw) order: (oh*ow, c*fh*fw)."""
-    win = windows(x[None], geom, pad_value)[0]  # (c, fh, fw, oh, ow)
-    oh, ow = win.shape[3:]
-    return np.ascontiguousarray(win.transpose(3, 4, 0, 1, 2).reshape(oh * ow, -1))
+def _unpack_filters(I: np.ndarray, filters: list[BinarizedFilter], geom: ConvGeometry):
+    """Check every filter against the input's channels and the geometry's
+    extent; return the bank's (K, c, fh, fw) 0/1 sign bits, from one unpack,
+    and its float32 scales, 0 for a degenerate filter."""
+    if I.ndim != 3:
+        raise ShapeError(f"input must be (c, h, w), got {I.shape}")
+    shape = (I.shape[0], *geom.filt_hw)
+    n = shape[0] * shape[1] * shape[2]
+    if any(tuple(f.original_shape) != shape or f.n != n for f in filters):
+        raise ShapeError(f"filters do not all match input {I.shape} and extent {geom.filt_hw}")
+    bits = unpack_bank(np.array([f.bits.words for f in filters]), n)
+    alphas = np.array([0.0 if f.degenerate else f.alpha for f in filters], dtype=np.float32)
+    return bits.reshape(len(filters), *shape), alphas
 
 
 def im2col(inp: np.ndarray, geom: ConvGeometry) -> np.ndarray:
-    """Every zero-padded receptive field as one row: (oh*ow, c*fh*fw)."""
-    return _rows(np.asarray(inp), geom)
+    """Receptive fields as rows, (oh*ow, c*fh*fw): a channel-major copy, transposed."""
+    win = windows(np.asarray(inp)[None], geom)[0]  # (c, fh, fw, oh, ow)
+    oh, ow = win.shape[3:]
+    return np.ascontiguousarray(win.reshape(-1, oh * ow)).T
 
 
-def sign_patch_matrix(I, geom: ConvGeometry) -> PackedPatchMatrix:
-    """Packed sign patterns of all receptive fields of sign(I).
+def sign_patch_matrix(I, geom: ConvGeometry) -> np.ndarray:
+    """Channel-packed sign columns of sign(I): (ceil(c/64)*fh*fw, oh*ow) uint64.
 
-    The rows are im2col's rows of the I >= 0 bits. Zero-padded border
-    positions binarize to +1 (the sign(0) tie rule), so the border bits are
-    1; the beta map's attenuated border entries partially compensate.
+    The I >= 0 bits are packed LSB-first along channels, once per pixel, and
+    row (word, dy, dx) reads that word at tap (dy, dx) of every receptive
+    field. Channel pad bits are 1, and so are border pixels (sign(0) = +1);
+    the beta map's attenuated border entries partially compensate.
     """
     I = np.asarray(I)
-    rows = _rows((I >= 0).view(np.uint8), geom, pad_value=1)
-    return PackedPatchMatrix(
-        words=_words_from_bits(rows), n=rows.shape[1], out_hw=geom.out_hw(I.shape[1:]),
-        geom=geom,
-    )
+    c, h, w = I.shape
+    p = geom.pad
+    n_words = -(-c // WORD_BITS)
+    bits = np.ones((h + 2 * p, w + 2 * p, n_words * WORD_BITS), dtype=bool)
+    bits[p:p + h, p:p + w, :c] = (I >= 0).transpose(1, 2, 0)
+    planes = np.packbits(bits, axis=-1, bitorder="little").view("<u8")  # (H, W, words)
+    win = windows(planes.transpose(2, 0, 1)[None], ConvGeometry(geom.filt_hw, geom.stride))[0]
+    return win.reshape(-1, win.shape[3] * win.shape[4]).astype(np.uint64, copy=False)
 
 
 def conv_binary_weight(I, f: BinarizedFilter, geom: ConvGeometry,
@@ -111,23 +96,20 @@ def conv_binary_weight_layer(
 ) -> np.ndarray:
     """Binary-weight convolution of a filter bank: out = alpha * (B @ columns).
 
-    B is the (K, c*fh*fw) matrix of the filters' +-1 signs, so the product
-    only adds and subtracts input values; the one multiplication per output
-    element applies the filter scale. A degenerate filter's output is zeros.
-    Returns float32 (K, oh, ow).
+    B is the (K, c*fh*fw) matrix of the filters' +-1 signs and the columns
+    are ``im2col``'s channel-major copy, so the product only adds
+    and subtracts inputs; one multiply per output applies the filter scale.
+    A degenerate filter's output is zeros. Returns float32 (K, oh, ow).
     """
     I = np.asarray(I)
-    _check_filters(I, filters, geom)
-    oh, ow = geom.out_hw(I.shape[1:])
-    signs = np.stack([unpack(f.bits) for f in filters])
-    alphas = np.array([0.0 if f.degenerate else f.alpha for f in filters], dtype=np.float32)
-    out = np.matmul(signs, im2col(I, geom).T)
-    out *= alphas[:, None]
+    bits, alphas = _unpack_filters(I, filters, geom)
+    signs = bits_to_signs(bits.reshape(len(filters), -1))
+    out = (signs @ im2col(I, geom).T) * alphas[:, None]
     if counters is not None:
         live = sum(not f.degenerate for f in filters)
-        counters.real_add += live * oh * ow * (signs.shape[1] - 1)
-        counters.real_mul += live * oh * ow
-    return out.astype(np.float32, copy=False).reshape(len(filters), oh, ow)
+        counters.real_add += live * out.shape[1] * (signs.shape[1] - 1)
+        counters.real_mul += live * out.shape[1]
+    return out.astype(np.float32, copy=False).reshape(len(filters), *geom.out_hw(I.shape[1:]))
 
 
 def _beta_map_cost(I_shape, geom: ConvGeometry, counters: OpCounters) -> None:
@@ -146,7 +128,9 @@ def conv_xnor(I, f: BinarizedFilter, geom: ConvGeometry,
     return conv_xnor_layer(I, [f], geom, counters)[0]
 
 
-_CHUNK_WORD_BUDGET = 4_000_000  # cap the (rows, filters, words) XOR temporary
+# cap on the (rows, filters, positions) XOR tile, in words (512 KiB) while
+# rows <= 2^16; timed against 2^15..2^18 at c=16..512 with 9x9 to 56x56 outputs
+_TILE_WORDS = 1 << 16
 
 
 def conv_xnor_layer(
@@ -154,41 +138,46 @@ def conv_xnor_layer(
 ) -> np.ndarray:
     """XNOR convolution of a filter bank: (sign(I) xnor-conv sign(W)) * K * alpha.
 
-    All filters share one patch matrix and one beta map. Filters are
-    pre-complemented so the inner loop is one XOR (equal to the XNOR against
-    the original words) plus popcount, batched over filters; real
-    multiplications are limited to scaling each output element by its beta
-    and by alpha. A degenerate filter's output is zeros, and it is not
-    counted in ``counters``. Returns float32 (K, oh, ow).
+    All filters share one set of sign columns and one beta map. The bank is
+    repacked once into the columns' (word, fh, fw) order, pad bits 1, and
+    complemented, so the inner loop is one XOR (the XNOR against the bits)
+    plus popcount, summed over rows; each pad bit adds one match, a constant
+    fh*fw*(64*ceil(c/64) - c) per output. Real multiplications only scale
+    each output by beta and alpha. A degenerate filter's output is zeros,
+    and it is not counted in ``counters``. Returns float32 (K, oh, ow).
     """
     I = np.asarray(I)
-    _check_filters(I, filters, geom)
-    patches = sign_patch_matrix(I, geom)
+    bits, alphas = _unpack_filters(I, filters, geom)
+    cols = sign_patch_matrix(I, geom)
     beta_map = compute_beta_map(I, geom)
     if counters is not None:
         _beta_map_cost(I.shape, geom, counters)
-    n = patches.n
-    if any(f.n != n for f in filters):
-        raise ShapeError("filter length does not match patch rows")
-    oh, ow = patches.out_hw
-    n_pad = patches.n_words * 64 - n
-    nfilt_words = ~np.stack([f.bits.words for f in filters])  # (K, W)
-    alphas = np.array([0.0 if f.degenerate else f.alpha for f in filters], dtype=np.float32)
+    k, c, fh, fw = bits.shape
+    n_words = -(-c // WORD_BITS)
+    fbits = np.ones((fh, fw, k, n_words * WORD_BITS), dtype=np.uint8)
+    fbits[..., :c] = bits.transpose(2, 3, 0, 1)
+    nfilt = ~np.packbits(fbits, axis=-1, bitorder="little").view("<u8")  # (fh, fw, K, words)
+    rows, positions = cols.shape
+    nfilt = nfilt.transpose(3, 0, 1, 2).reshape(rows, k)
+    n_pad = fh * fw * (n_words * WORD_BITS - c)
 
-    rows = patches.words.shape[0]
-    dots = np.empty((len(filters), rows), dtype=np.int32)
-    chunk = max(1, _CHUNK_WORD_BUDGET // max(rows * patches.n_words, 1))
-    for k0 in range(0, len(filters), chunk):
-        xnor = patches.words[:, None, :] ^ nfilt_words[None, k0:k0 + chunk, :]
-        total = np.bitwise_count(xnor).sum(axis=-1, dtype=np.int32)
-        dots[k0:k0 + chunk] = (2 * total - (n + 2 * n_pad)).T
+    dots = np.empty((k, positions), dtype=np.int32)
+    pc = max(1, min(positions, _TILE_WORDS // rows))
+    kc = max(1, min(k, _TILE_WORDS // (rows * pc)))
+    xor = np.empty((rows, kc, pc), dtype=np.uint64)
+    for k0 in range(0, k, kc):
+        for p0 in range(0, positions, pc):
+            tile = xor[:, :min(kc, k - k0), :min(pc, positions - p0)]
+            np.bitwise_xor(cols[:, None, p0:p0 + pc], nfilt[:, k0:k0 + kc, None], out=tile)
+            dots[k0:k0 + kc, p0:p0 + pc] = np.bitwise_count(tile).sum(axis=0, dtype=np.int32)
+    dots = 2 * dots - (c * fh * fw + 2 * n_pad)
     if counters is not None:
         live = sum(not f.degenerate for f in filters)
-        counters.xnor_word += live * rows * patches.n_words
-        counters.popcount_word += live * rows * patches.n_words
-        counters.real_mul += 2 * live * rows
+        counters.xnor_word += live * rows * positions
+        counters.popcount_word += live * rows * positions
+        counters.real_mul += 2 * live * positions
     scale = beta_map.K[None, :, :] * alphas[:, None, None]
-    return dots.reshape(len(filters), oh, ow).astype(np.float32) * scale
+    return dots.reshape(k, *beta_map.K.shape).astype(np.float32) * scale
 
 
 def count_ops(c: int, n_w: int, n_i: int, mode: str = "xnor") -> tuple[int, int]:
@@ -196,7 +185,8 @@ def count_ops(c: int, n_w: int, n_i: int, mode: str = "xnor") -> tuple[int, int]
 
     The XNOR path does c*N_W bit-ops per output location and one real op per
     location; the full-precision path does everything in real arithmetic.
-    Word-level counters relate by ceil(c*N_W / 64) words per location.
+    The XNOR layer packs channels, so its word-level counters take
+    N_W*ceil(c / 64) words per location.
     """
     if min(c, n_w, n_i) < 1:
         raise ValueError("c, n_w, n_i must all be positive")

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .binarize import filter_alphas
-from .bitpack import WORD_BITS, PackedBits, _words_from_bits, unpack
+from .bitpack import WORD_BITS, _words_from_bits, bits_to_signs, unpack_bank
 from .nn import (
     AvgPool2d,
     BatchNorm2d,
@@ -81,12 +81,6 @@ def _read(fh, count: int, what: str) -> bytes:
     return buf
 
 
-def _pack_filter_words(W: np.ndarray) -> np.ndarray:
-    """(K, n) sign source -> (K, ceil(n/64)) uint64 canonical words."""
-    bits = (W >= 0).astype(np.uint8)
-    return _words_from_bits(bits)
-
-
 def _binarized(layer: Conv2d) -> bool:
     """Whether a conv's weights are 1-bit: binarized on every forward, or
     loaded from packed bits as alpha * sign."""
@@ -114,7 +108,7 @@ def _write_conv(fh, layer: Conv2d, pack_binarized: bool) -> None:
     W = layer.weight.value.astype(np.float32)
     if packed:
         flat = W.reshape(layer.out_ch, -1)
-        fh.write(_pack_filter_words(flat).astype("<u8").tobytes())
+        fh.write(_words_from_bits(flat >= 0).astype("<u8").tobytes())
         if layer.learned_scale:
             alphas = layer.alpha.value.astype(np.float32)
         elif layer.frozen_alphas is not None:
@@ -143,9 +137,7 @@ def _read_conv(fh, flags: int) -> Conv2d:
         raw = _read(fh, out_ch * n_words * 8, "packed filter words")
         words = np.frombuffer(raw, dtype="<u8").reshape(out_ch, n_words)
         alphas = np.frombuffer(_read(fh, out_ch * 4, "filter scales"), dtype="<f4").copy()
-        signs = np.stack(
-            [unpack(PackedBits(n=n, words=words[k].copy())) for k in range(out_ch)]
-        ).reshape(out_ch, in_ch, fh_, fw_)
+        signs = bits_to_signs(unpack_bank(words, n)).reshape(out_ch, in_ch, fh_, fw_)
         if learned:
             # keep the sign weights and the learned scale as separate pieces
             layer.weight.value = signs.astype(np.float32)

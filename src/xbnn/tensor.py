@@ -5,7 +5,7 @@ Feature maps are float arrays of shape (channels, height, width) and filter
 banks are (filters, channels, fh, fw), both row-major with channels outermost
 so a receptive field flattens to one contiguous vector of length c*fh*fw.
 ``windows`` is the one receptive-field layout: the batched layers in ``nn``
-and the packed kernels in ``kernels`` all read their columns or patch rows
+and the kernels in ``kernels`` all read their columns (float or sign-word)
 from it. ``conv2d_reference`` is deliberately written as a plain
 sliding-window loop that does not use ``windows``: it is the correctness
 oracle every fast path is measured against, so it stays simple and
@@ -56,9 +56,9 @@ class ConvGeometry:
 
 
 def sign(x) -> np.ndarray:
-    """Sign with the tie rule sign(0) = +1, so outputs are exactly +-1."""
+    """Sign with the tie rule sign(0) = +1, so outputs are exactly +-1, in x's memory order."""
     x = np.asarray(x)
-    out = np.empty(x.shape, dtype=x.dtype if x.dtype.kind == "f" else np.float32)
+    out = np.empty_like(x, dtype=x.dtype if x.dtype.kind == "f" else np.float32)
     np.greater_equal(x, 0, out=out)  # NaN compares false, so sign(NaN) = -1
     out *= 2
     out -= 1

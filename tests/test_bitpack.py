@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbnn.bitpack import WORD_BITS, pack, unpack, xnor_dot
+from xbnn.bitpack import WORD_BITS, _words_from_bits, pack, unpack, unpack_bank, xnor_dot
 
 sign_vectors = st.lists(st.sampled_from([-1.0, 1.0]), min_size=1, max_size=300).map(np.array)
 
@@ -40,6 +40,33 @@ class TestPack:
         if pb.n_pad:
             last = int(pb.words[-1])
             assert last >> (WORD_BITS - pb.n_pad) == 0
+
+
+    def test_words_equal_pad_then_pack_reference(self):
+        # the bits padded to whole words first, then packed: the layout the
+        # byte-level padding must reproduce for every length
+        rng = np.random.default_rng(3)
+        for n in range(1, 300):
+            bits = rng.random((3, n)) < 0.5
+            padded = np.zeros((3, -(-n // WORD_BITS) * WORD_BITS), dtype=np.uint8)
+            padded[:, :n] = bits
+            ref = np.packbits(padded, axis=-1, bitorder="little").view("<u8")
+            got = _words_from_bits(bits)
+            assert got.dtype == np.uint64
+            assert got.tobytes() == ref.tobytes()
+            assert _words_from_bits(bits.astype(np.uint8)).tobytes() == ref.tobytes()
+
+
+class TestUnpackBank:
+    def test_rows_equal_per_vector_unpack(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 63, 64, 65, 200):
+            vs = np.where(rng.random((5, n)) < 0.5, 1.0, -1.0)
+            words = np.stack([pack(v).words for v in vs])
+            bits = unpack_bank(words, n)
+            assert bits.shape == (5, n) and bits.dtype == np.uint8
+            np.testing.assert_array_equal(bits, (vs > 0).astype(np.uint8))
+            np.testing.assert_array_equal(unpack_bank(words[2], n), bits[2])
 
 
 class TestXnorDot:

@@ -176,9 +176,8 @@ class TestBench:
         row = bench_case(c=8, filt=3, out_extent=6, n_filters=4, seed=0,
                          min_time=0.005)
         binary_ops, real_ops = count_ops(8, 9, 36, "xnor")
-        n = 8 * 9
-        words = (n + 63) // 64
-        assert row["xnor_word"] == 4 * 36 * words  # filters * locations * words/row
+        words = 9 * ((8 + 63) // 64)  # one channel word per tap
+        assert row["xnor_word"] == 4 * 36 * words  # filters * locations * words/output
         assert row["n_i"] == real_ops
         assert row["speedup_model"] == pytest.approx(speedup_model(8, 9))
 

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 import xbnn
 from xbnn import kernels
-from xbnn.binarize import BinarizedFilter, binarize_weights, binary_dot_factors
-from xbnn.bitpack import PackedBits, _words_from_bits, pack, unpack, xnor_dot
+from xbnn.binarize import (BinarizedFilter, binarize_weights, binary_dot_factors,
+                            compute_beta_map)
+from xbnn.bitpack import pack, xnor_dot
 from xbnn.kernels import (
     OpCounters,
     conv2d_reference,
@@ -41,14 +42,25 @@ def reference_im2col(inp, geom):
     return np.ascontiguousarray(cols)
 
 
-def reference_sign_patch_words(I, geom):
-    oh, ow = geom.out_hw(I.shape[1:])
-    bits = (pad_chw(I, geom.pad) >= 0).astype(np.uint8)
+def reference_sign_columns(I, geom):
+    """The XNOR layer's channel-packed sign columns, one Python-int word at a
+    time: word j of a pixel holds the I >= 0 bits of channels 64j..64j+63 at
+    bits 0..63, channel pad bits and zero-padded border pixels set; row
+    (word, dy, dx), column (y, x) is that word at tap (dy, dx) of output
+    (y, x)."""
+    c = I.shape[0]
+    n_words = -(-c // 64)
+    padded = pad_chw(I, geom.pad)
+    bits = np.ones((n_words * 64, *padded.shape[1:]), dtype=bool)
+    bits[:c] = padded >= 0
     fh, fw = geom.filt_hw
-    win = np.lib.stride_tricks.sliding_window_view(bits, (fh, fw), axis=(1, 2))
-    win = win[:, :: geom.stride, :: geom.stride]
-    rows = np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4).reshape(oh * ow, -1))
-    return _words_from_bits(rows)
+    oh, ow = geom.out_hw(I.shape[1:])
+    s = geom.stride
+    cols = np.empty((n_words, fh, fw, oh, ow), dtype=np.uint64)
+    for j, dy, dx, y, x in np.ndindex(cols.shape):
+        chans = bits[64 * j:64 * (j + 1), y * s + dy, x * s + dx]
+        cols[j, dy, dx, y, x] = sum(1 << i for i in range(64) if chans[i])
+    return cols.reshape(n_words * fh * fw, oh * ow)
 
 
 def xnor_oracle(I, bank, geom):
@@ -65,10 +77,10 @@ def xnor_oracle(I, bank, geom):
 
 
 @st.composite
-def window_cases(draw):
-    """(I, geom): c, h, w, fh, fw, stride 1 or 2, pad 0..2, float32/float64;
-    the filter fits the padded input."""
-    c, h, w = draw(st.integers(1, 5)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+def window_cases(draw, channels=st.integers(1, 5)):
+    """(I, geom): c from ``channels``, h, w, fh, fw, stride 1 or 2, pad 0..2,
+    float32/float64; the filter fits the padded input."""
+    c, h, w = draw(channels), draw(st.integers(1, 9)), draw(st.integers(1, 9))
     pad = draw(st.integers(0, 2))
     fh, fw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     assume(fh <= h + 2 * pad and fw <= w + 2 * pad)
@@ -88,13 +100,13 @@ class TestReferenceEquivalence:
         I, geom = case
         np.testing.assert_array_equal(im2col(I, geom), reference_im2col(I, geom))
 
-    @given(window_cases())
+    @given(window_cases(st.sampled_from([1, 5, 63, 64, 65, 129])))
     @settings(max_examples=300, deadline=None)
     def test_packed_patch_words_equal_reference(self, case):
         I, geom = case
-        pm = sign_patch_matrix(I, geom)
-        np.testing.assert_array_equal(pm.words, reference_sign_patch_words(I, geom))
-        assert pm.out_hw == geom.out_hw(I.shape[1:])
+        cols = sign_patch_matrix(I, geom)
+        assert cols.dtype == np.uint64
+        np.testing.assert_array_equal(cols, reference_sign_columns(I, geom))
 
 
 class TestIm2col:
@@ -112,15 +124,16 @@ class TestIm2col:
         rng = np.random.default_rng(1)
         I = rng.normal(size=(2, 4, 4)).astype(np.float32)
         geom = ConvGeometry(filt_hw=(2, 2), pad=1)
-        pm = sign_patch_matrix(I, geom)
+        cols = sign_patch_matrix(I, geom)
         oh, ow = geom.out_hw(I.shape[1:])
-        assert pm.n_rows == oh * ow
-        assert pm.n == 2 * 2 * 2
-        # row 0 covers the padded corner; padding binarizes to +1
-        first = PackedBits(n=pm.n, words=pm.words[0])
-        window = np.zeros((2, 2, 2), dtype=np.float32)
-        window[:, 1, 1] = I[:, 0, 0]
-        np.testing.assert_array_equal(unpack(first), sign(window).reshape(-1))
+        assert cols.shape == (1 * 2 * 2, oh * ow)  # one word per tap
+        # column 0 covers the padded corner: the three border taps binarize
+        # to +1 and read all ones; tap (1, 1) is pixel (0, 0), whose two
+        # channel bits sit under 62 set pad bits
+        corner = [int(w) for w in cols[:, 0]]
+        assert corner[:3] == [2**64 - 1] * 3
+        pixel = int(I[0, 0, 0] >= 0) | int(I[1, 0, 0] >= 0) << 1
+        assert corner[3] == (2**64 - 1) & ~0b11 | pixel
 
 
 class TestConvBinaryWeight:
@@ -274,12 +287,11 @@ class TestConvXnor:
         counters = OpCounters()
         out = conv_xnor(I, f, geom, counters)
         n_i = out.size
-        n = c * fh * fw
-        words = (n + 63) // 64
+        words = fh * fw * ((c + 63) // 64)  # one channel word per tap
         assert counters.xnor_word == n_i * words
         assert counters.popcount_word == n_i * words
         binary_ops, real_ops = count_ops(c, fh * fw, n_i, "xnor")
-        assert counters.xnor_word == ((n + 63) // 64) * (binary_ops // n)
+        assert counters.xnor_word == words * (binary_ops // (c * fh * fw))
         # the only real multiplies are per-output scaling plus beta-map cost
         beta_muls = 10 * 10 + n_i
         assert counters.real_mul <= 2 * n_i + beta_muls
@@ -301,7 +313,45 @@ class TestConvXnor:
             out[live], conv_xnor_layer(I, [filters[k] for k in live], geom, live_counters))
         # the zero filter adds no XNOR, popcount or scale work
         assert counters == live_counters
-        assert counters.xnor_word == len(live) * out[0].size  # 27 bits fit one word
+        assert counters.xnor_word == len(live) * out[0].size * 9  # 3 channels: a word per tap
+
+
+@st.composite
+def xnor_layer_cases(draw):
+    """(I, bank, geom) across the word boundaries of the channel packing,
+    with exact zeros in the input and all-zero (degenerate) filters."""
+    I, geom = draw(window_cases(st.sampled_from([1, 63, 64, 65, 128, 129, 200])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bank = rng.normal(size=(draw(st.integers(1, 4)), I.shape[0], *geom.filt_hw))
+    bank[rng.random(len(bank)) < 0.25] = 0.0
+    return I, bank.astype(np.float32), geom
+
+
+class TestXnorLayerOracle:
+    @given(xnor_layer_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_dots_exact_against_reference(self, case):
+        # every output is float32(dot) * (K * alpha) to the bit, with the dot
+        # from conv2d_reference; K itself is checked against the oracle's
+        I, bank, geom = case
+        filters = [binarize_weights(w) for w in bank]
+        alphas = np.array([0.0 if f.degenerate else f.alpha for f in filters],
+                          dtype=np.float32)
+        dots, K_ref = xnor_oracle(I, bank, geom)
+        K = compute_beta_map(I, geom).K
+        np.testing.assert_allclose(K, K_ref, rtol=1e-5, atol=1e-6)
+        out = conv_xnor_layer(I, filters, geom)
+        expected = dots.astype(np.float32) * (K[None] * alphas[:, None, None])
+        np.testing.assert_array_equal(out, expected)
+        for k, f in enumerate(filters):
+            if f.degenerate:
+                np.testing.assert_array_equal(out[k], 0.0)
+        rows = -(-I.shape[0] // 64) * geom.filt_hw[0] * geom.filt_hw[1]
+        # 1x1 tiles, three-position tiles, two-filter tiles
+        for cap in (1, 3 * rows, 2 * rows * out[0].size):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "_TILE_WORDS", cap)
+                np.testing.assert_array_equal(conv_xnor_layer(I, filters, geom), out)
 
 
 class TestCountOps:
