@@ -267,20 +267,29 @@ def cmd_speedup(cfg: RunConfig) -> int:
 
 
 def _time_call(fn, min_time: float = 0.05):
-    """Average seconds per call, growing the repetition count until the
-    measured span comfortably exceeds timer resolution."""
+    """Median seconds per call over timed blocks of calls, and the calls timed.
+
+    A block repeats ``fn`` until it spans at least min_time / 10, well above
+    timer resolution; blocks run until five of them and min_time of calls
+    were timed. A call that stalls once moves one block, not the
+    median."""
+    from statistics import median
     from time import perf_counter
 
     fn()  # warm-up
+    span = min_time / 10
     reps = 1
-    while True:
+    times = []
+    while len(times) < 5 or sum(times) * reps < min_time:
         t0 = perf_counter()
         for _ in range(reps):
             fn()
         dt = perf_counter() - t0
-        if dt >= min_time:
-            return dt / reps, reps
-        reps = max(reps * 2, int(reps * min_time / max(dt, 1e-9)) + 1)
+        if not times and dt < span:  # still sizing the block
+            reps = max(reps * 2, int(reps * span / max(dt, 1e-9)) + 1)
+        else:
+            times.append(dt / reps)
+    return median(times), reps * len(times)
 
 
 def bench_case(c: int, filt: int, out_extent: int, n_filters: int, seed: int,

@@ -14,6 +14,14 @@ real-valued weights on every forward, so the optimizer only ever touches
 real parameters. Gradients flow through the binarized weights, with the
 straight-through estimator standing in for the sign function's derivative.
 
+In eval, each conv's chunk loop also runs the per-image layers after it, up
+to the next conv, on each chunk's product while it is still in L2, and
+writes only the last (usually pooled) output. Every element goes through the
+same float operations as in a layer-by-layer eval, so the output is
+bit-identical; a ReLU just before a MaxPool2d runs after it, on the pooled
+chunk, which is exact since max is monotone (a zero's sign aside, which no
+later layer turns into another value).
+
 Each binarization rule is written once: the filter scale alpha = mean|W| in
 ``binarize.filter_alphas``, the estimator's gate in ``_sign_derivative``
 (used by ``ste_backward_sign`` and ``weight_gradient``, for inputs, weights
@@ -133,25 +141,36 @@ def loss_softmax_nll(logits, labels):
 _CHUNK_BYTES = 1 << 20
 
 
-def _conv_columns(win, wmat):
+def _conv_columns(win, wmat, finish=None):
     """(N, K, oh, ow) = per image wmat (K, C*fh*fw) @ columns (C*fh*fw, oh*ow).
 
     Images go through in chunks of about _CHUNK_BYTES of columns, copied
     into one reused buffer; each image's product is the same BLAS call
-    whatever the chunk size, so chunking does not change the result.
+    whatever the chunk size, so chunking does not change the result. With
+    ``finish``, a chunk's product goes to a reused buffer, and
+    ``finish(images, product)``, which may overwrite it, returns the rows
+    ``images`` (a slice of the batch) of the result.
     """
     n, c, fh, fw, oh, ow = win.shape
     rows, positions = c * fh * fw, oh * ow
     dtype = np.result_type(win.dtype, wmat.dtype)
     wmat = wmat.astype(dtype, copy=False)
-    out = np.empty((n, wmat.shape[0], oh, ow), dtype=dtype)
-    flat_out = out.reshape(n, -1, positions)
+    k = wmat.shape[0]
     chunk = max(1, min(n, _CHUNK_BYTES // (rows * positions * dtype.itemsize)))
     buf = np.empty((chunk, c, fh, fw, oh, ow), dtype=dtype)
+    if finish is None:
+        out = np.empty((n, k, oh, ow), dtype=dtype)
+    else:
+        prod = np.empty((chunk, k, oh, ow), dtype=dtype)
+        empty = finish(slice(0, 0), prod[:0])  # the result's shape and dtype, from no images
+        out = np.empty((n, *empty.shape[1:]), dtype=empty.dtype)
     for i in range(0, n, chunk):
         b = min(chunk, n - i)
         np.copyto(buf[:b], win[i:i + b])
-        np.matmul(wmat, buf[:b].reshape(b, rows, positions), out=flat_out[i:i + b])
+        target = out[i:i + b] if finish is None else prod[:b]
+        np.matmul(wmat, buf[:b].reshape(b, rows, positions), out=target.reshape(b, k, positions))
+        if finish is not None:
+            out[i:i + b] = finish(slice(i, i + b), target)
     return out
 
 
@@ -173,7 +192,11 @@ def _col2im(gcols, x_shape, geom: ConvGeometry):
 
 class Layer:
     """A layer's train-mode forward leaves a tape for its next backward;
-    backward consumes it, and an eval-mode forward drops it."""
+    backward consumes it, and an eval-mode forward drops it.
+
+    The per-image layers (``_PER_IMAGE``) take ``overwrite_x``, as scipy
+    takes ``overwrite_a``: it lets an eval forward reuse x's memory.
+    """
 
     _tape = None
 
@@ -209,7 +232,10 @@ class Conv2d(Layer):
     columns. Each image's product is the same BLAS call whatever the chunk,
     so the chunk size never changes a result. Where every product is an
     integer (+-1 inputs times +-1 weights) the output is exact; elsewhere it
-    differs from other summation orders by float rounding only. A train
+    differs from other summation orders by float rounding only. An eval
+    forward applies K, the learned scale and then ``tail`` (per-image layers,
+    see ``Network._eval_segments``) to each chunk's product, so the
+    whole-batch conv output is never built. A train
     forward keeps the strided view of the padded input on its tape; the
     backward copies it into a full-batch column matrix and takes the weight
     gradient from it with one ``tensordot`` gemm. A binarized bank maps that
@@ -266,7 +292,7 @@ class Conv2d(Layer):
         alphas = filter_alphas(W)
         return alphas[:, None, None, None] * sgn, alphas
 
-    def forward(self, x, train: bool):
+    def forward(self, x, train: bool, tail=()):
         x = np.asarray(x)
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise ShapeError(f"expected (N, {self.in_ch}, H, W), got {x.shape}")
@@ -282,17 +308,29 @@ class Conv2d(Layer):
             pad_value = float(quantize_kbit(0.0, self.k_bits))
 
         win = windows(conv_in, self.geom, pad_value)
-        out = _conv_columns(win, wtilde.reshape(self.out_ch, -1))
-        pre_scale = None
-        if self.binarize_input:
-            out *= K[:, None]
-        if self.learned_scale and self.binarize_weights:
-            pre_scale = out
-            out = out * self.alpha.value[None, :, None, None]
+        del conv_in  # a padded view reads its own copy: free the unpadded input now
+        wmat = wtilde.reshape(self.out_ch, -1)
         self._tape = None
-        if train:
-            self._tape = (x.shape, win, wtilde, alphas, K, x if self.binarize_input else None, pre_scale)
+        if not train:
+            def finish(images, y):
+                return _eval_chain(tail, self._rescale(y, None if K is None else K[images])[1])
+
+            return _conv_columns(win, wmat, finish)
+        if tail:
+            raise ValueError("a tail of eval layers runs in eval mode only")
+        pre_scale, out = self._rescale(_conv_columns(win, wmat), K)
+        self._tape = (x.shape, win, wtilde, alphas, K, x if self.binarize_input else None, pre_scale)
         return out
+
+    def _rescale(self, y, K):
+        """Scale the products y, in place, by the window scales K, then by the
+        learned filter scales; returns (y before the learned scale, or None
+        without one; the scaled y)."""
+        if K is not None:
+            y *= K[:, None]
+        if self.learned_scale and self.binarize_weights:
+            return y, y * self.alpha.value[None, :, None, None]
+        return None, y
 
     def backward(self, g):
         x_shape, win, wtilde, alphas, K, x_pre, pre_scale = self._pop_tape()
@@ -358,7 +396,7 @@ class BatchNorm2d(Layer):
     def params(self):
         return [self.gamma, self.beta]
 
-    def forward(self, x, train: bool):
+    def forward(self, x, train: bool, overwrite_x: bool = False):
         x = np.asarray(x)
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ShapeError(f"expected (N, {self.channels}, H, W), got {x.shape}")
@@ -367,7 +405,8 @@ class BatchNorm2d(Layer):
             ivar = 1.0 / np.sqrt(self.running_var.astype(x.dtype) + self.eps)
             a = self.gamma.value * ivar
             b = self.beta.value - self.running_mean.astype(x.dtype) * a
-            out = x * a[None, :, None, None]
+            inplace = overwrite_x and np.result_type(x, a) == x.dtype
+            out = np.multiply(x, a[None, :, None, None], out=x if inplace else None)
             out += b[None, :, None, None]
             return out
         count = x.shape[0] * x.shape[2] * x.shape[3]
@@ -406,10 +445,10 @@ class BatchNorm2d(Layer):
 
 
 class ReLU(Layer):
-    def forward(self, x, train: bool):
+    def forward(self, x, train: bool, overwrite_x: bool = False):
         x = np.asarray(x)
         self._tape = x > 0 if train else None
-        return np.maximum(x, 0, dtype=x.dtype)
+        return np.maximum(x, 0, dtype=x.dtype, out=x if overwrite_x else None)
 
     def backward(self, g):
         return g * self._pop_tape()
@@ -422,7 +461,7 @@ class BinaryActivation(Layer):
         self.k_bits = k_bits
         self.ste_variant = ste_variant
 
-    def forward(self, x, train: bool):
+    def forward(self, x, train: bool, overwrite_x: bool = False):
         x = np.asarray(x)
         self._tape = x if train else None
         return _quantize(x, self.k_bits)
@@ -462,7 +501,7 @@ class MaxPool2d(_Pool):
     inputs) go to the lowest (dy, dx).
     """
 
-    def forward(self, x, train: bool):
+    def forward(self, x, train: bool, overwrite_x: bool = False):
         x = np.asarray(x)
         taps = [x[t] for t in self._taps(*self._out_hw(x.shape))]
         out = np.maximum(taps[0], taps[1]) if len(taps) > 1 else taps[0].copy()
@@ -501,7 +540,7 @@ class AvgPool2d(_Pool):
     """Mean over non-overlapping s x s windows: each window row's taps are
     summed, then the rows, then divided by s * s."""
 
-    def forward(self, x, train: bool):
+    def forward(self, x, train: bool, overwrite_x: bool = False):
         x = np.asarray(x)
         s = self.size
         taps = self._taps(*self._out_hw(x.shape))
@@ -517,6 +556,19 @@ class AvgPool2d(_Pool):
         for t in self._taps(*g.shape[2:]):
             gx[t] = g
         return gx
+
+
+# Layers whose eval forward maps each image on its own, so that running them on
+# a chunk of images gives those images' rows of the whole-batch result.
+_PER_IMAGE = (BatchNorm2d, ReLU, BinaryActivation, MaxPool2d, AvgPool2d)
+
+
+def _eval_chain(layers, y):
+    """Run eval layers from _PER_IMAGE over y, a buffer the caller owns, in
+    turn; each may overwrite its input."""
+    for layer in layers:
+        y = layer.forward(y, False, overwrite_x=True)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +653,31 @@ class Network:
         return out
 
     def forward(self, x, train: bool = False):
-        for layer in self.layers:
-            x = layer.forward(x, train)
+        if train:
+            for layer in self.layers:
+                x = layer.forward(x, True)
+        else:
+            for layer, tail in self._eval_segments():
+                x = layer.forward(x, False, tail) if tail else layer.forward(x, False)
         self._forward_ran = train
         return x
+
+    def _eval_segments(self):
+        """The layers as (layer, tail) pairs for an eval forward: each conv
+        takes the per-image layers up to the next conv as its tail, with a
+        ReLU that directly precedes a MaxPool2d moved after it; every other
+        layer runs alone, with an empty tail."""
+        segments = []
+        for layer in self.layers:
+            if segments and isinstance(segments[-1][0], Conv2d) and isinstance(layer, _PER_IMAGE):
+                tail = segments[-1][1]
+                if isinstance(layer, MaxPool2d) and tail and isinstance(tail[-1], ReLU):
+                    tail.insert(-1, layer)
+                else:
+                    tail.append(layer)
+            else:
+                segments.append((layer, []))
+        return segments
 
     def logits(self, x, train: bool = False):
         out = self.forward(x, train)

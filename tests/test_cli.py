@@ -1,4 +1,5 @@
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from xbnn.cli import (
     RunConfig,
     UsageError,
+    _time_call,
     bench_case,
     cli_main,
     parse_arch_text,
@@ -188,6 +190,19 @@ class TestBench:
         assert lines[0].startswith("kernel,c,n_w,n_i,filters,reps,ref_ms,xnor_ms")
         assert lines[0].endswith("seed")
         assert len(lines) > 4
+
+    def test_time_call_reports_the_median_when_one_call_stalls(self, monkeypatch):
+        # a fake clock: every call takes 1 ms, except the third, which takes 1 s
+        clock = {"now": 0.0, "calls": 0}
+
+        def fn():
+            clock["calls"] += 1
+            clock["now"] += 1.0 if clock["calls"] == 3 else 1e-3
+
+        monkeypatch.setattr(time, "perf_counter", lambda: clock["now"])
+        seconds, calls = _time_call(fn, min_time=0.05)
+        assert seconds == pytest.approx(1e-3, rel=1e-9)
+        assert calls >= 5
 
     def test_bench_sweep_qualitative_shape(self):
         # speedup grows with channel count; 1x1 filters are markedly slower.

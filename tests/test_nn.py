@@ -1,4 +1,6 @@
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from xbnn.binarize import binarize_weights, compute_beta_map, filter_alphas, window_mean
+from xbnn.cli import load_arch
 from xbnn.kernels import conv_xnor_layer
 from xbnn import nn
 from xbnn.nn import (
+    BLOCK_ORDERS,
     AvgPool2d,
     BatchNorm2d,
     BinaryActivation,
@@ -839,6 +843,152 @@ class TestBlockOrders:
         a = net.forward(x, train=False)
         b = net.forward(x, train=False)
         np.testing.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# eval segments: each conv runs the per-image layers after it on its chunks
+
+TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy_cnn.cfg"
+PER_IMAGE_KINDS = ("batchnorm", "relu", "binactiv", "maxpool", "avgpool")
+
+
+def toy_xnor_net(seed=0):
+    return build_network(apply_mode(load_arch(TOY_CFG), "xnor"), (1, 28, 28), seed=seed)
+
+
+@st.composite
+def eval_chains(draw):
+    """(net, chunk, rng): per-image layers, a first conv (pad 0/1,
+    stride 1/2), per-image layers, a conv block in either order with maxpool
+    or avgpool and relu or binactiv, per-image layers and an fc conv, in any
+    mode, k_bits 1 or 2, maybe learned scales, odd extents, float32 or
+    float64; random running statistics; ``chunk`` images per first-conv
+    chunk."""
+    def run():
+        return [LayerSpec(kind=k) for k in draw(st.lists(st.sampled_from(PER_IMAGE_KINDS),
+                                                         max_size=2))]
+
+    pad, stride = draw(st.integers(0, 1)), draw(st.sampled_from([1, 2]))
+    block = conv_block(draw(st.sampled_from(BLOCK_ORDERS)), out_ch=draw(st.integers(1, 5)), pad=pad)
+    for spec in block:
+        if spec.kind == "maxpool":
+            spec.kind = draw(st.sampled_from(["maxpool", "avgpool"]))
+        elif spec.kind == "binactiv":
+            spec.kind = draw(st.sampled_from(["relu", "binactiv"]))
+        elif spec.kind == "binconv":
+            spec.learned_scale = draw(st.booleans())
+    specs = run() + [LayerSpec(kind="conv", out_ch=draw(st.integers(1, 4)), k=3, pad=pad,
+                               stride=stride)]
+    specs += run() + block + run() + [LayerSpec(kind="conv", out_ch=draw(st.integers(2, 4)))]
+    c, h, w = draw(st.integers(1, 3)), draw(st.sampled_from([9, 11, 13])), draw(st.sampled_from([9, 13, 15]))
+    try:
+        net = build_network(apply_mode(specs, draw(st.sampled_from(["full", "bwn", "xnor"]))),
+                            (c, h, w), seed=draw(st.integers(0, 99)), k_bits=draw(st.integers(1, 2)))
+    except ShapeError:
+        assume(False)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for layer in net.layers:
+        if isinstance(layer, BatchNorm2d):
+            layer.running_mean = rng.normal(size=layer.channels).astype(np.float32)
+            layer.running_var = rng.uniform(0.1, 3.0, size=layer.channels).astype(np.float32)
+            layer.gamma.value = rng.normal(size=layer.channels).astype(np.float32)
+            layer.beta.value = rng.normal(size=layer.channels).astype(np.float32)
+        elif isinstance(layer, Conv2d) and layer.alpha is not None:
+            layer.alpha.value = rng.uniform(0.5, 2.0, size=layer.out_ch).astype(np.float32)
+    if draw(st.booleans()):
+        net.astype(np.float64)
+    return net, draw(st.integers(2, 5)), rng
+
+
+class TestEvalSegments:
+    @settings(max_examples=60, deadline=None)
+    @given(eval_chains(), st.sampled_from(["one", "chunk-1", "chunk+1", "257"]))
+    def test_forward_equals_layer_by_layer(self, case, batch):
+        net, chunk, rng = case
+        n = {"one": 1, "chunk-1": chunk - 1, "chunk+1": chunk + 1, "257": 257}[batch]
+        first = net.conv_layers()[0]
+        dtype = first.weight.value.dtype
+        x = rng.normal(size=(n, *net.input_shape)).astype(dtype)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "_CHUNK_BYTES", chunk_budget(first, *first_conv_input_hw(net), chunk))
+            got = net.forward(x, train=False)
+            mp.setattr(nn, "_CHUNK_BYTES", 1 << 62)  # the reference convs run in one chunk
+            want = x
+            for layer in net.layers:
+                want = layer.forward(want, train=False)
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_toy_net_segments(self):
+        # ReLU runs after MaxPool, on the pooled chunk; the BatchNorm before
+        # the binconv closes the first conv's segment
+        plan = [(type(layer).__name__, [type(t).__name__ for t in tail])
+                for layer, tail in toy_xnor_net()._eval_segments()]
+        assert plan == [("Conv2d", ["BatchNorm2d", "MaxPool2d", "ReLU", "BatchNorm2d"]),
+                        ("Conv2d", ["MaxPool2d", "ReLU"]),
+                        ("Conv2d", [])]
+
+    @pytest.mark.parametrize("arch", ["toy", "leading-relu-unpadded"])
+    def test_eval_forward_leaves_input_and_tapes_alone(self, arch):
+        if arch == "toy":
+            net = toy_xnor_net()
+        else:  # a standalone ReLU gets the caller's x; the first conv reads an unpadded view
+            specs = [LayerSpec(kind="relu"), LayerSpec(kind="conv", out_ch=3, k=1),
+                     LayerSpec(kind="relu"), LayerSpec(kind="batchnorm"),
+                     LayerSpec(kind="conv", out_ch=2)]
+            net = build_network(specs, (1, 28, 28), seed=3)
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(5, 1, 28, 28)).astype(np.float32)
+        x_before = x.copy()
+        net.forward(x, train=True)  # leaves a tape on every layer
+        out = net.forward(x, train=False)
+        np.testing.assert_array_equal(x, x_before)
+        assert not np.shares_memory(out, x)
+        assert all(layer._tape is None for layer in net.layers)
+        with pytest.raises(RuntimeError):
+            net.backward(np.ones_like(out))
+
+    @pytest.mark.parametrize("x_dtype, p_dtype", [(np.float32, np.float32),
+                                                  (np.float32, np.float64)])
+    def test_batchnorm_overwrite_matches_fresh_output(self, x_dtype, p_dtype):
+        rng = np.random.default_rng(33)
+        bn = BatchNorm2d(3)
+        bn.running_mean = rng.normal(size=3).astype(p_dtype)
+        bn.running_var = rng.uniform(0.1, 3.0, size=3).astype(p_dtype)
+        bn.gamma.value = rng.normal(size=3).astype(p_dtype)
+        x = rng.normal(size=(2, 3, 4, 4)).astype(x_dtype)
+        want = bn.forward(x, train=False)
+        got = bn.forward(x.copy(), train=False, overwrite_x=True)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_tail_runs_in_eval_only(self):
+        conv = Conv2d(1, 2, (3, 3), rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="eval mode only"):
+            conv.forward(np.zeros((1, 1, 4, 4), dtype=np.float32), True, [ReLU()])
+
+    def test_eval_peak_memory_below_one_full_resolution_activation(self):
+        net = toy_xnor_net()
+        x = np.random.default_rng(32).normal(size=(256, 1, 28, 28)).astype(np.float32)
+        net.logits(x)
+        tracemalloc.start()
+        try:
+            net.logits(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 16 * 28 * 28 * 4  # the first conv's (N, 16, 28, 28) float32 output
+
+
+def first_conv_input_hw(net):
+    """The spatial extent the first conv of `net` sees."""
+    h, w = net.input_shape[1:]
+    for layer in net.layers:
+        if isinstance(layer, Conv2d):
+            return h, w
+        if isinstance(layer, (MaxPool2d, AvgPool2d)):
+            h, w = h // layer.size, w // layer.size
+    raise AssertionError("no conv")
 
 
 def reference_apply_mode(specs, mode):
