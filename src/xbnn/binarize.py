@@ -102,26 +102,19 @@ def binary_dot_factors(X, W) -> BinaryDotFactors:
 
 
 def window_mean(planes: np.ndarray, geom: ConvGeometry) -> np.ndarray:
-    """Mean of every zero-padded window of (..., H, W) planes: (..., oh, ow).
-
-    Window sums come from an integral image accumulated in float64, so the
-    result stays within tolerance of the per-window oracle even for large
-    windows; integral differences can round below 0, so it is clamped at 0.
-    """
+    """Mean of every zero-padded window of (..., H, W) planes: (..., oh, ow),
+    float64. It sums the fh*fw taps of ``geom.taps`` in float64, so an entry's
+    rounding error does not grow with the planes' extent."""
     fh, fw = geom.filt_hw
     oh, ow = geom.out_hw(planes.shape[-2:])
     if geom.pad:
         p = geom.pad
         planes = np.pad(planes, [(0, 0)] * (planes.ndim - 2) + [(p, p), (p, p)])
-    ii = np.zeros((*planes.shape[:-2], planes.shape[-2] + 1, planes.shape[-1] + 1),
-                  dtype=np.float64)
-    np.cumsum(np.cumsum(planes, axis=-2), axis=-1, out=ii[..., 1:, 1:])
-    ys = np.arange(oh) * geom.stride
-    xs = np.arange(ow) * geom.stride
-    y0, y1 = ys[:, None], (ys + fh)[:, None]
-    x0, x1 = xs[None, :], (xs + fw)[None, :]
-    sums = ii[..., y1, x1] - ii[..., y0, x1] - ii[..., y1, x0] + ii[..., y0, x0]
-    return np.maximum(sums / float(fh * fw), 0.0)
+    sums = np.zeros((*planes.shape[:-2], oh, ow))
+    for tap in geom.taps(oh, ow):
+        sums += planes[tap]
+    sums /= fh * fw
+    return sums
 
 
 def compute_beta_map(I, geom: ConvGeometry) -> BetaMap:

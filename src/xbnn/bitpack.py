@@ -36,7 +36,12 @@ class PackedBits:
         return self.n_words * WORD_BITS - self.n
 
 
-def _words_from_bits(bits: np.ndarray) -> np.ndarray:
+def word_count(n: int) -> int:
+    """Words that hold n bits: ceil(n / 64)."""
+    return -(-n // WORD_BITS)
+
+
+def words_from_bits(bits: np.ndarray) -> np.ndarray:
     """bits: boolean or 0/1 array, one row per vector -> little-endian uint64
     words; packed bytes are zero-padded only when a row does not fill them."""
     packed = np.packbits(bits, axis=-1, bitorder="little")
@@ -53,7 +58,7 @@ def pack(v) -> PackedBits:
         raise ValueError(f"expected a 1-D sign vector, got shape {v.shape}")
     if v.size == 0 or not np.all(np.abs(v) == 1):
         raise ValueError("sign vector must be nonempty with every element exactly +1 or -1")
-    return PackedBits(n=v.size, words=_words_from_bits(v > 0))
+    return PackedBits(n=v.size, words=words_from_bits(v > 0))
 
 
 def unpack_bank(words, n: int) -> np.ndarray:

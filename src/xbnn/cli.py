@@ -56,14 +56,12 @@ class RunConfig:
     model: str | None = None
     out: str = "out"
     mode: str = "full"
-    block_order: str = "B-A-C-P"
     optimizer: str = ""
     schedule: str = "step"
     lr: float = 0.01
     decay_factor: float = 0.1
     decay_every: int = 2
     poly_power: float = 4.0
-    momentum: float = 0.9
     epochs: int = 5
     batch_size: int = 64
     seed: int = 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binarize import BinarizedFilter, compute_beta_map
-from .bitpack import WORD_BITS, bits_to_signs, unpack_bank
+from .bitpack import WORD_BITS, bits_to_signs, unpack_bank, word_count
 from .tensor import ConvGeometry, ShapeError, conv2d_reference, windows
 
 __all__ = [
@@ -76,7 +76,7 @@ def sign_patch_matrix(I, geom: ConvGeometry) -> np.ndarray:
     I = np.asarray(I)
     c, h, w = I.shape
     p = geom.pad
-    n_words = -(-c // WORD_BITS)
+    n_words = word_count(c)
     bits = np.ones((h + 2 * p, w + 2 * p, n_words * WORD_BITS), dtype=bool)
     bits[p:p + h, p:p + w, :c] = (I >= 0).transpose(1, 2, 0)
     planes = np.packbits(bits, axis=-1, bitorder="little").view("<u8")  # (H, W, words)
@@ -113,13 +113,13 @@ def conv_binary_weight_layer(
 
 
 def _beta_map_cost(I_shape, geom: ConvGeometry, counters: OpCounters) -> None:
-    # channel abs-mean: one divide per pixel; window sums: integral-image adds;
-    # final 1/(fh*fw): one divide per output entry.
+    # channel abs-mean: c adds and one divide per pixel; window sums: one add
+    # per tap and output entry; final 1/(fh*fw): one divide per output entry.
     c, h, w = I_shape
-    ph, pw = h + 2 * geom.pad, w + 2 * geom.pad
+    fh, fw = geom.filt_hw
     oh, ow = geom.out_hw((h, w))
     counters.real_mul += h * w + oh * ow
-    counters.real_add += c * h * w + 2 * ph * pw + 3 * oh * ow
+    counters.real_add += c * h * w + fh * fw * oh * ow
 
 
 def conv_xnor(I, f: BinarizedFilter, geom: ConvGeometry,
@@ -153,7 +153,7 @@ def conv_xnor_layer(
     if counters is not None:
         _beta_map_cost(I.shape, geom, counters)
     k, c, fh, fw = bits.shape
-    n_words = -(-c // WORD_BITS)
+    n_words = word_count(c)
     fbits = np.ones((fh, fw, k, n_words * WORD_BITS), dtype=np.uint8)
     fbits[..., :c] = bits.transpose(2, 3, 0, 1)
     nfilt = ~np.packbits(fbits, axis=-1, bitorder="little").view("<u8")  # (fh, fw, K, words)

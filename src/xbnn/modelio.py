@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .binarize import filter_alphas
-from .bitpack import WORD_BITS, _words_from_bits, bits_to_signs, unpack_bank
+from .bitpack import bits_to_signs, unpack_bank, word_count, words_from_bits
 from .nn import (
     AvgPool2d,
     BatchNorm2d,
@@ -108,7 +108,7 @@ def _write_conv(fh, layer: Conv2d, pack_binarized: bool) -> None:
     W = layer.weight.value.astype(np.float32)
     if packed:
         flat = W.reshape(layer.out_ch, -1)
-        fh.write(_words_from_bits(flat >= 0).astype("<u8").tobytes())
+        fh.write(words_from_bits(flat >= 0).astype("<u8").tobytes())
         if layer.learned_scale:
             alphas = layer.alpha.value.astype(np.float32)
         elif layer.frozen_alphas is not None:
@@ -133,7 +133,7 @@ def _read_conv(fh, flags: int) -> Conv2d:
                    learned_scale=learned, k_bits=(flags >> _K_BITS_SHIFT) + 1,
                    rng=np.random.default_rng(0))
     if packed:
-        n_words = (n + WORD_BITS - 1) // WORD_BITS
+        n_words = word_count(n)
         raw = _read(fh, out_ch * n_words * 8, "packed filter words")
         words = np.frombuffer(raw, dtype="<u8").reshape(out_ch, n_words)
         alphas = np.frombuffer(_read(fh, out_ch * 4, "filter scales"), dtype="<f4").copy()
@@ -176,8 +176,10 @@ def _read_batchnorm(fh) -> BatchNorm2d:
 def save(net: Network, path, *, pack_binarized: bool = False) -> None:
     """Serialize a network; ``pack_binarized=True`` stores binarized-weight
     convolutions as 1-bit sign words plus per-filter scales. A convolution
-    loaded from packed bits is always stored packed, so re-saving a packed
-    file reproduces it byte for byte."""
+    loaded from packed bits without a learned scale has no real-valued
+    weights, so it is always stored packed and re-saves byte for byte; one
+    with a learned scale keeps its signs as real weights and, like any
+    other, is stored packed only with ``pack_binarized=True``."""
     for layer in net.conv_layers():
         if not 1 <= layer.k_bits <= _MAX_K_BITS:
             raise ModelIOError(f"k_bits={layer.k_bits} does not fit a model file "
@@ -249,7 +251,7 @@ def filter_bytes(n: int, binarized: bool) -> int:
     """Storage for one filter of n weights: 4n bytes at full precision, or
     ceil(n/64) words plus one float32 scale when binarized."""
     if binarized:
-        return ((n + WORD_BITS - 1) // WORD_BITS) * 8 + 4
+        return word_count(n) * 8 + 4
     return 4 * n
 
 
@@ -276,46 +278,42 @@ def memory_footprint(arch, mode: str = "binary") -> int:
     return total
 
 
+def _layer_arch(layer: Layer) -> list:
+    """One layer's entries in memory_footprint terms."""
+    if isinstance(layer, Conv2d):
+        n = layer.in_ch * layer.geom.filt_hw[0] * layer.geom.filt_hw[1]
+        scales = [layer.out_ch] if layer.learned_scale else []
+        return [(layer.out_ch, n, _binarized(layer))] + scales
+    if isinstance(layer, BatchNorm2d):
+        return [4 * layer.channels]
+    return []
+
+
 def network_arch(net: Network) -> list:
     """Describe a network in memory_footprint terms."""
-    arch = []
-    for layer in net.layers:
-        if isinstance(layer, Conv2d):
-            n = layer.in_ch * layer.geom.filt_hw[0] * layer.geom.filt_hw[1]
-            binarized = _binarized(layer)
-            arch.append((layer.out_ch, n, binarized))
-            if layer.learned_scale:
-                arch.append(layer.out_ch)
-        elif isinstance(layer, BatchNorm2d):
-            arch.append(4 * layer.channels)
-    return arch
+    return [entry for layer in net.layers for entry in _layer_arch(layer)]
 
 
 def describe(net: Network) -> str:
-    """Human-readable layer table with per-layer storage at both precisions."""
+    """Human-readable layer table with per-layer storage at both precisions;
+    the rows are priced by memory_footprint, so they sum to the totals."""
     lines = [f"{'idx':>3} {'layer':<14} {'detail':<34} {'float B':>10} {'binary B':>10}"]
     for i, layer in enumerate(net.layers):
+        name, detail = type(layer).__name__.lower(), ""
         if isinstance(layer, Conv2d):
             fh_, fw_ = layer.geom.filt_hw
-            n = layer.in_ch * fh_ * fw_
-            binarized = _binarized(layer)
+            name = "conv"
             detail = (f"{layer.in_ch}->{layer.out_ch} {fh_}x{fw_} s{layer.geom.stride} "
                       f"p{layer.geom.pad}"
-                      + (" Wbin" if binarized else "")
+                      + (" Wbin" if _binarized(layer) else "")
                       + (" Ibin" if layer.binarize_input else ""))
-            fbytes = 4 * layer.out_ch * n
-            bbytes = layer.out_ch * filter_bytes(n, binarized)
-            lines.append(f"{i:>3} {'conv':<14} {detail:<34} {fbytes:>10} {bbytes:>10}")
         elif isinstance(layer, BatchNorm2d):
-            b = 4 * 4 * layer.channels
-            lines.append(f"{i:>3} {'batchnorm':<14} {f'channels={layer.channels}':<34} "
-                         f"{b:>10} {b:>10}")
-        else:
-            name = type(layer).__name__.lower()
-            detail = ""
-            if isinstance(layer, (MaxPool2d, AvgPool2d)):
-                detail = f"{layer.size}x{layer.size} s{layer.stride}"
-            lines.append(f"{i:>3} {name:<14} {detail:<34} {0:>10} {0:>10}")
+            name, detail = "batchnorm", f"channels={layer.channels}"
+        elif isinstance(layer, (MaxPool2d, AvgPool2d)):
+            detail = f"{layer.size}x{layer.size} s{layer.stride}"
+        arch = _layer_arch(layer)
+        lines.append(f"{i:>3} {name:<14} {detail:<34} {memory_footprint(arch, 'float32'):>10} "
+                     f"{memory_footprint(arch, 'binary'):>10}")
     arch = network_arch(net)
     lines.append(f"total float32: {memory_footprint(arch, 'float32')} B; "
                  f"binary: {memory_footprint(arch, 'binary')} B")

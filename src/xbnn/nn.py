@@ -6,10 +6,12 @@ input, gives per image the (C*fh*fw, oh*ow) column matrix with rows in the
 weights' own (c, fh, fw) order, so the forward is one W @ columns product per
 image, written straight into the (N, K, oh, ow) output. A binarized-input
 convolution takes its per-window scale map from ``binarize.window_mean``,
-the beta map the packed kernels use. The forward copies the view into a reused
-buffer a chunk of images at a time (about 1 MiB of columns, so a chunk stays
-in L2) and never holds a whole batch of columns; the backward builds them
-once. Binarized layers recompute their sign/scale factorization from the
+the beta map the packed kernels use. Convs and pools take their output
+extent, and the pools and ``_col2im`` their window taps, from a
+``tensor.ConvGeometry``. The forward copies the view into a reused buffer a
+chunk of images at a time (about 1 MiB of columns, so a chunk stays in L2)
+and never holds a whole batch of columns; the backward builds them once.
+Binarized layers recompute their sign/scale factorization from the
 real-valued weights on every forward, so the optimizer only ever touches
 real parameters. Gradients flow through the binarized weights, with the
 straight-through estimator standing in for the sign function's derivative.
@@ -41,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .binarize import filter_alphas, quantize_kbit, window_mean
-from .tensor import ConvGeometry, ShapeError, sign, windows
+from .tensor import ConvGeometry, ShapeError, channel_abs_mean, sign, windows
 
 BLOCK_ORDERS = ("C-B-A-P", "B-A-C-P")
 
@@ -178,11 +180,10 @@ def _col2im(gcols, x_shape, geom: ConvGeometry):
     """Sum (N, C, fh, fw, oh, ow) column gradients back onto the input."""
     fh, fw, oh, ow = gcols.shape[2:]
     h, w = x_shape[2:]
-    s, p = geom.stride, geom.pad
+    p = geom.pad
     gpad = np.zeros((*x_shape[:2], h + 2 * p, w + 2 * p), dtype=gcols.dtype)
-    for ky in range(fh):
-        for kx in range(fw):
-            gpad[:, :, ky:ky + s * oh:s, kx:kx + s * ow:s] += gcols[:, :, ky, kx]
+    for tap, (ky, kx) in zip(geom.taps(oh, ow), np.ndindex(fh, fw)):
+        gpad[tap] += gcols[:, :, ky, kx]
     return gpad[:, :, p:h + p, p:w + p]
 
 
@@ -302,7 +303,7 @@ class Conv2d(Layer):
         conv_in = x
         pad_value = 0.0
         if self.binarize_input:
-            K = window_mean(np.abs(x).mean(axis=1), self.geom).astype(x.dtype)
+            K = window_mean(channel_abs_mean(x), self.geom).astype(x.dtype)
             conv_in = _quantize(x, self.k_bits)
             # zero padding is quantized like any other input value: sign(0) = +1
             pad_value = float(quantize_kbit(0.0, self.k_bits))
@@ -471,26 +472,15 @@ class BinaryActivation(Layer):
 
 
 class _Pool(Layer):
+    """Non-overlapping s x s windows: ``geom`` gives their output extent and
+    taps; rows and columns past the last whole window are dropped."""
+
     def __init__(self, size=2, stride=None):
         self.size = size
         self.stride = stride if stride is not None else size
         if self.stride != self.size:
             raise ShapeError("pooling currently supports stride == window size")
-
-    def _out_hw(self, x_shape):
-        s = self.size
-        oh, ow = x_shape[2] // s, x_shape[3] // s
-        if oh < 1 or ow < 1:
-            raise ShapeError(f"pool window {s} too large for input {x_shape}")
-        return oh, ow
-
-    def _taps(self, oh, ow):
-        """Tap (dy, dx) of every window at once, as a strided-slice index, in
-        row-major window order; rows and columns past the last whole window
-        are dropped."""
-        s = self.size
-        return [(slice(None), slice(None), slice(dy, oh * s, s), slice(dx, ow * s, s))
-                for dy in range(s) for dx in range(s)]
+        self.geom = ConvGeometry((size, size), stride=size)
 
 
 class MaxPool2d(_Pool):
@@ -503,7 +493,7 @@ class MaxPool2d(_Pool):
 
     def forward(self, x, train: bool, overwrite_x: bool = False):
         x = np.asarray(x)
-        taps = [x[t] for t in self._taps(*self._out_hw(x.shape))]
+        taps = [x[t] for t in self.geom.taps(*self.geom.out_hw(x.shape[2:]))]
         out = np.maximum(taps[0], taps[1]) if len(taps) > 1 else taps[0].copy()
         for tap in taps[2:]:
             np.maximum(out, tap, out=out)
@@ -531,7 +521,7 @@ class MaxPool2d(_Pool):
         # past the last whole window need zeros
         gx[:, :, oh * s:] = 0
         gx[:, :, :oh * s, ow * s:] = 0
-        for t, mask in zip(self._taps(oh, ow), masks):
+        for t, mask in zip(self.geom.taps(oh, ow), masks):
             np.multiply(g, mask, out=gx[t])
         return gx
 
@@ -543,7 +533,7 @@ class AvgPool2d(_Pool):
     def forward(self, x, train: bool, overwrite_x: bool = False):
         x = np.asarray(x)
         s = self.size
-        taps = self._taps(*self._out_hw(x.shape))
+        taps = self.geom.taps(*self.geom.out_hw(x.shape[2:]))
         self._tape = x.shape if train else None
         rows = (sum(x[t] for t in taps[i:i + s]) for i in range(0, s * s, s))
         return sum(rows) / (s * s)
@@ -553,7 +543,7 @@ class AvgPool2d(_Pool):
         s = self.size
         g = np.asarray(g) / (s * s)
         gx = np.zeros(x_shape, dtype=g.dtype)
-        for t in self._taps(*g.shape[2:]):
+        for t in self.geom.taps(*g.shape[2:]):
             gx[t] = g
         return gx
 
@@ -737,23 +727,20 @@ def build_network(specs: list[LayerSpec], input_shape, seed: int = 0, *,
                            learned_scale=s.learned_scale,
                            k_bits=k_bits, ste_variant=ste_variant,
                            binary_gradient=binary_gradient, rng=rng)
-            h, w = layer.geom.out_hw((h, w))
             c = s.out_ch
-            layers.append(layer)
         elif s.kind == "batchnorm":
-            layers.append(BatchNorm2d(c))
+            layer = BatchNorm2d(c)
         elif s.kind == "relu":
-            layers.append(ReLU())
+            layer = ReLU()
         elif s.kind == "binactiv":
-            layers.append(BinaryActivation(k_bits=k_bits, ste_variant=ste_variant))
+            layer = BinaryActivation(k_bits=k_bits, ste_variant=ste_variant)
         elif s.kind in ("maxpool", "avgpool"):
             size = s.k if s.k > 0 else 2
             stride = s.stride if s.stride > 1 else size
-            cls = MaxPool2d if s.kind == "maxpool" else AvgPool2d
-            layers.append(cls(size, stride))
-            h, w = h // size, w // size
-            if h < 1 or w < 1:
-                raise ShapeError(f"pooling exhausted spatial extent at {s}")
+            layer = (MaxPool2d if s.kind == "maxpool" else AvgPool2d)(size, stride)
         else:  # pragma: no cover - guarded by LayerSpec.__post_init__
             raise ValueError(f"unhandled kind {s.kind}")
+        if isinstance(layer, (Conv2d, _Pool)):
+            h, w = layer.geom.out_hw((h, w))
+        layers.append(layer)
     return Network(layers, input_shape)

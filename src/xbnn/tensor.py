@@ -1,15 +1,16 @@
-"""Dense tensors, convolution geometry, the receptive-field view and the
-naive reference convolution.
+"""Dense tensors, window geometry, the receptive-field view and the naive
+reference convolution.
 
 Feature maps are float arrays of shape (channels, height, width) and filter
 banks are (filters, channels, fh, fw), both row-major with channels outermost
 so a receptive field flattens to one contiguous vector of length c*fh*fw.
-``windows`` is the one receptive-field layout: the batched layers in ``nn``
-and the kernels in ``kernels`` all read their columns (float or sign-word)
-from it. ``conv2d_reference`` is deliberately written as a plain
-sliding-window loop that does not use ``windows``: it is the correctness
-oracle every fast path is measured against, so it stays simple and
-independent of them.
+``ConvGeometry`` owns every sliding window's output extent and taps, for
+convs and pools alike. ``windows`` is the one receptive-field layout: the
+batched layers in ``nn`` and the kernels in ``kernels`` all read their
+columns (float or sign-word) from it. ``conv2d_reference`` is deliberately
+written as a plain sliding-window loop that does not use ``windows``: it is
+the correctness oracle every fast path is measured against, so it stays
+simple and independent of them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class ShapeError(ValueError):
 
 @dataclass(frozen=True)
 class ConvGeometry:
-    """Filter extent, stride, and symmetric zero padding of a 2-D convolution."""
+    """Window extent, stride and symmetric zero padding of a 2-D conv or pool."""
 
     filt_hw: tuple[int, int]
     stride: int = 1
@@ -54,6 +55,15 @@ class ConvGeometry:
             )
         return oh, ow
 
+    def taps(self, oh: int, ow: int) -> list[tuple]:
+        """Tap (dy, dx) of all oh x ow windows at once, for every tap in
+        row-major order: the index [..., dy:dy+s*oh:s, dx:dx+s*ow:s] into the
+        padded (..., H, W) input."""
+        fh, fw = self.filt_hw
+        s = self.stride
+        return [(Ellipsis, slice(dy, dy + s * oh, s), slice(dx, dx + s * ow, s))
+                for dy in range(fh) for dx in range(fw)]
+
 
 def sign(x) -> np.ndarray:
     """Sign with the tie rule sign(0) = +1, so outputs are exactly +-1, in x's memory order."""
@@ -66,11 +76,11 @@ def sign(x) -> np.ndarray:
 
 
 def channel_abs_mean(inp) -> np.ndarray:
-    """Per-pixel mean of |values| across channels: (c, h, w) -> (h, w)."""
+    """Per-pixel mean of |values| across channels: (..., c, h, w) -> (..., h, w)."""
     inp = np.asarray(inp)
-    if inp.ndim != 3 or inp.shape[0] < 1:
-        raise ShapeError(f"expected (c, h, w) with c >= 1, got {inp.shape}")
-    return np.abs(inp).mean(axis=0)
+    if inp.ndim < 3 or inp.shape[-3] < 1:
+        raise ShapeError(f"expected (..., c, h, w) with c >= 1, got {inp.shape}")
+    return np.abs(inp).mean(axis=-3)
 
 
 def pad_chw(inp: np.ndarray, pad: int) -> np.ndarray:

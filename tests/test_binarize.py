@@ -112,44 +112,18 @@ class TestBinaryDotFactors:
         np.testing.assert_array_equal(sign(X) * sign(W), sign(X * W))
 
 
-# references: the two beta maps that window_mean replaces, the single-plane
-# integral image of compute_beta_map and the batched one of nn.Conv2d
-
-
-def reference_window_sums(plane, geom):
+def oracle_window_mean(planes, geom):
+    """float64 mean of every zero-padded window of (..., H, W) planes,
+    summed one window at a time."""
     fh, fw = geom.filt_hw
-    oh, ow = geom.out_hw(plane.shape)
-    padded = plane
-    if geom.pad:
-        padded = np.pad(plane, geom.pad)
-    ii = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.float64)
-    np.cumsum(np.cumsum(padded, axis=0), axis=1, out=ii[1:, 1:])
-    ys = np.arange(oh) * geom.stride
-    xs = np.arange(ow) * geom.stride
-    y0, y1 = ys[:, None], (ys + fh)[:, None]
-    x0, x1 = xs[None, :], (xs + fw)[None, :]
-    return ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]
-
-
-def reference_beta_map(I, geom):
-    sums = reference_window_sums(channel_abs_mean(I), geom)
-    return np.maximum(sums / float(np.prod(geom.filt_hw)), 0.0).astype(np.float32)
-
-
-def reference_batch_window_mean(a, geom):
-    n, h, w = a.shape
-    fh, fw = geom.filt_hw
-    oh, ow = geom.out_hw((h, w))
-    if geom.pad:
-        a = np.pad(a, ((0, 0), (geom.pad, geom.pad), (geom.pad, geom.pad)))
-    ii = np.zeros((n, a.shape[1] + 1, a.shape[2] + 1), dtype=np.float64)
-    np.cumsum(np.cumsum(a, axis=1), axis=2, out=ii[:, 1:, 1:])
-    ys = np.arange(oh) * geom.stride
-    xs = np.arange(ow) * geom.stride
-    y0, y1 = ys[:, None], (ys + fh)[:, None]
-    x0, x1 = xs[None, :], (xs + fw)[None, :]
-    sums = ii[:, y1, x1] - ii[:, y0, x1] - ii[:, y1, x0] + ii[:, y0, x0]
-    return np.maximum(sums / float(fh * fw), 0.0)
+    oh, ow = geom.out_hw(planes.shape[-2:])
+    p, s = geom.pad, geom.stride
+    a = np.pad(np.asarray(planes, dtype=np.float64), [(0, 0)] * (planes.ndim - 2) + [(p, p)] * 2)
+    out = np.empty((*a.shape[:-2], oh, ow))
+    for y in range(oh):
+        for x in range(ow):
+            out[..., y, x] = a[..., y * s:y * s + fh, x * s:x * s + fw].sum(axis=(-2, -1))
+    return out / (fh * fw)
 
 
 @st.composite
@@ -167,22 +141,31 @@ def beta_cases(draw):
     return rng.normal(size=(n, c, h, w)).astype(dtype), geom
 
 
-class TestWindowMeanEquivalence:
+class TestWindowMean:
     @given(beta_cases())
     @settings(max_examples=300, deadline=None)
-    def test_single_beta_map_equals_reference(self, case):
+    def test_single_plane_matches_float64_oracle(self, case):
         x, geom = case
-        for I in x:
-            np.testing.assert_array_equal(compute_beta_map(I, geom).K,
-                                          reference_beta_map(I, geom))
+        for a in channel_abs_mean(x):
+            np.testing.assert_allclose(window_mean(a, geom), oracle_window_mean(a, geom),
+                                       rtol=1e-12, atol=0)
 
     @given(beta_cases())
     @settings(max_examples=300, deadline=None)
-    def test_batched_beta_map_equals_reference(self, case):
+    def test_batched_planes_match_float64_oracle(self, case):
         x, geom = case
-        a = np.abs(x).mean(axis=1)
-        np.testing.assert_array_equal(window_mean(a, geom),
-                                      reference_batch_window_mean(a, geom))
+        a = channel_abs_mean(x)
+        got = window_mean(a, geom)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, oracle_window_mean(a, geom), rtol=1e-12, atol=0)
+
+    def test_beta_map_at_imagenet_extent(self):
+        # 224 x 224, the paper's ImageNet input: the error must not grow with
+        # the plane's extent
+        I = np.random.default_rng(8).normal(size=(3, 224, 224)).astype(np.float32)
+        geom = ConvGeometry(filt_hw=(3, 3), pad=1)
+        want = oracle_window_mean(channel_abs_mean(I.astype(np.float64)), geom)
+        np.testing.assert_allclose(compute_beta_map(I, geom).K, want, rtol=1e-6, atol=0)
 
 
 class TestBetaMap:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbnn.bitpack import WORD_BITS, _words_from_bits, pack, unpack, unpack_bank, xnor_dot
+from xbnn.bitpack import WORD_BITS, pack, unpack, unpack_bank, words_from_bits, xnor_dot
 
 sign_vectors = st.lists(st.sampled_from([-1.0, 1.0]), min_size=1, max_size=300).map(np.array)
 
@@ -51,10 +51,10 @@ class TestPack:
             padded = np.zeros((3, -(-n // WORD_BITS) * WORD_BITS), dtype=np.uint8)
             padded[:, :n] = bits
             ref = np.packbits(padded, axis=-1, bitorder="little").view("<u8")
-            got = _words_from_bits(bits)
+            got = words_from_bits(bits)
             assert got.dtype == np.uint64
             assert got.tobytes() == ref.tobytes()
-            assert _words_from_bits(bits.astype(np.uint8)).tobytes() == ref.tobytes()
+            assert words_from_bits(bits.astype(np.uint8)).tobytes() == ref.tobytes()
 
 
 class TestUnpackBank:

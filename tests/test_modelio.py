@@ -109,7 +109,8 @@ class TestPackedExport:
     def test_packed_resave_identical_bytes(self, tmp_path, mode):
         # a loaded packed layer keeps its 1-bit flag and its stored scales;
         # one without a learned scale has no real weights, so it stays
-        # packed even when the re-save does not ask for packing
+        # packed even when the re-save does not ask for packing; one with a
+        # learned scale keeps its signs as real weights and is written raw
         for seed in range(5):
             if mode == "learned":
                 rng = np.random.default_rng(seed)
@@ -126,10 +127,13 @@ class TestPackedExport:
                 net, x = self._trained_net(mode, seed)
             first = tmp_path / f"{mode}{seed}.xbn"
             save(net, first, pack_binarized=True)
-            for pack in (True, False) if mode != "learned" else (True,):
+            for pack in (True, False):
                 again = tmp_path / f"{mode}{seed}_{pack}.xbn"
                 save(load(first), again, pack_binarized=pack)
-                assert again.read_bytes() == first.read_bytes()
+                if pack or mode != "learned":
+                    assert again.read_bytes() == first.read_bytes()
+                else:
+                    assert again.stat().st_size > first.stat().st_size
                 np.testing.assert_array_equal(
                     net.forward(x, train=False), load(again).forward(x, train=False)
                 )
@@ -282,6 +286,19 @@ class TestMemoryFootprint:
         arch = network_arch(net)
         banks = [e for e in arch if isinstance(e, tuple)]
         assert [b[2] for b in banks] == [False, True, False]
+
+    def test_describe_rows_sum_to_totals(self):
+        specs = [LayerSpec(kind="conv", out_ch=4, k=3, pad=1), LayerSpec(kind="batchnorm"),
+                 LayerSpec(kind="maxpool", k=2),
+                 LayerSpec(kind="binconv", out_ch=6, k=3, pad=1, learned_scale=True),
+                 LayerSpec(kind="batchnorm"), LayerSpec(kind="conv", out_ch=5)]
+        net = build_network(apply_mode(specs, "bwn"), (2, 8, 8), seed=0)
+        assert net.conv_layers()[1].learned_scale
+        lines = describe(net).splitlines()
+        rows = [line.split() for line in lines[1:-1]]
+        total = lines[-1].replace(";", "").split()
+        assert sum(int(r[-2]) for r in rows) == int(total[2])
+        assert sum(int(r[-1]) for r in rows) == int(total[5])
 
     def test_describe_mentions_totals(self):
         text = describe(random_net(7))

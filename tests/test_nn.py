@@ -1077,6 +1077,14 @@ class TestSpecsAndModes:
         assert not convs[0].binarize_weights and not convs[0].binarize_input
         assert not convs[1].binarize_weights
 
+    @pytest.mark.parametrize("kind", ["maxpool", "avgpool"])
+    def test_build_rejects_pool_larger_than_its_input(self, kind):
+        specs = [LayerSpec(kind="conv", out_ch=2, k=3, pad=1), LayerSpec(kind=kind, k=4),
+                 LayerSpec(kind="conv", out_ch=3)]
+        build_network(specs, (1, 4, 5), seed=0)
+        with pytest.raises(ShapeError):
+            build_network(specs, (1, 3, 5), seed=0)
+
     def test_full_precision_convs_have_no_learned_scale(self):
         # a learned scale multiplies binarized weights only: the end convs and
         # every conv in full mode drop it, so every parameter gets a gradient

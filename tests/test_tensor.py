@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from xbnn.tensor import (
     ConvGeometry,
@@ -7,6 +9,7 @@ from xbnn.tensor import (
     channel_abs_mean,
     conv2d_reference,
     sign,
+    windows,
 )
 
 
@@ -26,6 +29,33 @@ class TestConvGeometry:
         base.update(kwargs)
         with pytest.raises(ShapeError):
             ConvGeometry(**base)
+
+
+@st.composite
+def tap_cases(draw):
+    """(x, geom): an (n, c, h, w) input and a geometry whose window fits it padded."""
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    pad = draw(st.integers(0, 2))
+    fh, fw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    assume(fh <= h + 2 * pad and fw <= w + 2 * pad)
+    geom = ConvGeometry(filt_hw=(fh, fw), stride=draw(st.integers(1, 3)), pad=pad)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=(draw(st.integers(1, 3)), draw(st.integers(1, 3)), h, w)), geom
+
+
+class TestTaps:
+    @given(tap_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_taps_equal_window_view(self, case):
+        x, geom = case
+        oh, ow = geom.out_hw(x.shape[2:])
+        p = geom.pad
+        padded = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        win = windows(x, geom)
+        taps = geom.taps(oh, ow)
+        assert len(taps) == geom.filt_hw[0] * geom.filt_hw[1]
+        for tap, (dy, dx) in zip(taps, np.ndindex(*geom.filt_hw)):
+            np.testing.assert_array_equal(padded[tap], win[:, :, dy, dx])
 
 
 class TestConv2dReference:
@@ -101,6 +131,12 @@ class TestElementwise:
 
 
 class TestChannelAbsMean:
+    def test_batched_equals_per_image(self):
+        x = np.random.default_rng(3).normal(size=(4, 5, 3, 2)).astype(np.float32)
+        np.testing.assert_array_equal(channel_abs_mean(x), [channel_abs_mean(i) for i in x])
+        with pytest.raises(ShapeError):
+            channel_abs_mean(x[0, 0])
+
     def test_two_channel_example(self):
         inp = np.array([[[1.0]], [[-3.0]]])
         np.testing.assert_array_equal(channel_abs_mean(inp), [[2.0]])
