@@ -2,9 +2,15 @@
 analytic speedup/memory models, and the ablation runner. Batch jobs only; all
 tabular output goes to CSV files so external tools can plot it.
 
-Heavy imports happen inside the command handlers so thread-pool environment
-variables (XBN_THREADS, and forced single-thread mode for bench) can be set
-before numpy loads its BLAS.
+Every option's default is written once, in RunConfig. The parser declares
+each option without a default, and only on the commands that read it, so a
+flag left off the command line keeps RunConfig's value and a flag a command
+does not read is a usage error.
+
+numpy sizes its BLAS thread pool from the environment when it is first
+imported, before any command runs, so the CLI cannot pin it. `xbnn bench`
+times single-thread kernels and refuses to run unless the process was
+started with OPENBLAS_NUM_THREADS=1 (or, if that is unset, OMP_NUM_THREADS=1).
 """
 
 from __future__ import annotations
@@ -13,20 +19,21 @@ import argparse
 import csv
 import os
 import sys
+import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import median
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+import numpy as np
 
-
-def _set_threads(count: str) -> None:
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, count)
-
-
-if os.environ.get("XBN_THREADS"):
-    _set_threads(os.environ["XBN_THREADS"])
-
+from .binarize import binarize_weights, compute_beta_map
+from .data import DatasetError, ingest
+from .kernels import OpCounters, conv2d_reference, conv_xnor_layer, im2col
+from .modelio import ModelIOError, describe, load, save
+from .nn import LayerSpec, apply_mode, build_network, conv_block
+from .tensor import ConvGeometry, ShapeError, sign
+from .train import PolynomialDecay, StepDecay, evaluate, fit, make_optimizer
 
 OPS_PER_WORD = 64  # binary ops one CPU word carries per cycle
 
@@ -107,8 +114,6 @@ def parse_arch_text(text: str):
         binconv out=32 k=3 pad=1
         conv out=10        # no k: full spatial extent (fully connected)
     """
-    from .nn import LayerSpec
-
     specs = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -150,8 +155,6 @@ def load_arch(path):
 
 
 def _load_splits(cfg: RunConfig):
-    from .data import ingest
-
     train = ingest(cfg.data, cfg.fmt, "train")
     val = ingest(cfg.data, cfg.fmt, "val")
     if cfg.subset:
@@ -163,8 +166,6 @@ def _load_splits(cfg: RunConfig):
 
 
 def _make_sched(cfg: RunConfig, epochs: int):
-    from .train import PolynomialDecay, StepDecay
-
     if cfg.schedule == "step":
         return StepDecay(base_lr=cfg.lr, factor=cfg.decay_factor, every=cfg.decay_every)
     if cfg.schedule == "poly":
@@ -179,10 +180,6 @@ def _default_optimizer(mode: str) -> str:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    from .modelio import save
-    from .nn import apply_mode, build_network
-    from .train import fit, make_optimizer
-
     if not cfg.arch or not cfg.data:
         raise UsageError("train requires --arch and --data")
     specs = apply_mode(load_arch(cfg.arch), cfg.mode)
@@ -211,10 +208,6 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    from .data import ingest
-    from .modelio import load
-    from .train import evaluate
-
     if not cfg.model or not cfg.data:
         raise UsageError("eval requires --model and --data")
     net = load(cfg.model)
@@ -226,8 +219,6 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_pack(cfg: RunConfig) -> int:
-    from .modelio import load, save
-
     if not cfg.model:
         raise UsageError("pack requires --model")
     out = Path(cfg.out)
@@ -241,8 +232,6 @@ def cmd_pack(cfg: RunConfig) -> int:
 
 
 def cmd_describe(cfg: RunConfig) -> int:
-    from .modelio import describe, load
-
     if not cfg.model:
         raise UsageError("describe requires --model")
     print(describe(load(cfg.model)))
@@ -271,18 +260,15 @@ def _time_call(fn, min_time: float = 0.05):
     timer resolution; blocks run until five of them and min_time of calls
     were timed. A call that stalls once moves one block, not the
     median."""
-    from statistics import median
-    from time import perf_counter
-
     fn()  # warm-up
     span = min_time / 10
     reps = 1
     times = []
     while len(times) < 5 or sum(times) * reps < min_time:
-        t0 = perf_counter()
+        t0 = time.perf_counter()
         for _ in range(reps):
             fn()
-        dt = perf_counter() - t0
+        dt = time.perf_counter() - t0
         if not times and dt < span:  # still sizing the block
             reps = max(reps * 2, int(reps * span / max(dt, 1e-9)) + 1)
         else:
@@ -292,13 +278,8 @@ def _time_call(fn, min_time: float = 0.05):
 
 def bench_case(c: int, filt: int, out_extent: int, n_filters: int, seed: int,
                min_time: float = 0.05) -> dict:
-    """conv_xnor_layer against the naive oracle and perfbench's sgemm bar."""
-    import numpy as np
-
-    from .binarize import binarize_weights, compute_beta_map
-    from .kernels import OpCounters, conv2d_reference, conv_xnor_layer, im2col
-    from .tensor import ConvGeometry, sign
-
+    """conv_xnor_layer against the naive oracle and the sgemm bar: float32
+    matmul on the same +-1 operands, scaled by the same K * alpha."""
     rng = np.random.default_rng(seed)
     h_in = out_extent + filt - 1
     I = rng.normal(size=(c, h_in, h_in)).astype(np.float32)
@@ -309,7 +290,13 @@ def bench_case(c: int, filt: int, out_extent: int, n_filters: int, seed: int,
     signs_t = np.ascontiguousarray(sign(bank.reshape(n_filters, -1)).T)
 
     def sgemm():
-        out = (sign(im2col(I, geom)) @ signs_t).T.reshape(n_filters, out_extent, out_extent)
+        # sign im2col's fresh copy in place, as tensor.sign does: a second
+        # column-sized temporary costs page faults on every call
+        cols = im2col(I, geom)
+        np.greater_equal(cols, 0, out=cols)
+        cols *= 2
+        cols -= 1
+        out = (cols @ signs_t).T.reshape(n_filters, out_extent, out_extent)
         return out * (compute_beta_map(I, geom).K[None] * alphas[:, None, None])
 
     ref_s, ref_reps = _time_call(lambda: conv2d_reference(I, bank, geom), min_time)
@@ -342,7 +329,6 @@ def bench_case(c: int, filt: int, out_extent: int, n_filters: int, seed: int,
 def bench_kernels(cfg: RunConfig) -> list[dict]:
     """Channel and filter-size sweeps with the fixed counterpart parameters
     c=256, 14x14 output, 3x3 filters."""
-    _set_threads("1")
     min_time = 0.02 if cfg.quick else 0.05
     channel_sweep = (1, 2, 4, 8, 16, 64, 256, 1024)
     filter_sweep = (1, 3, 5, 7, 9, 11)
@@ -360,6 +346,10 @@ def bench_kernels(cfg: RunConfig) -> list[dict]:
 
 
 def cmd_bench(cfg: RunConfig) -> int:
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    if threads != "1":
+        raise UsageError("bench times single-thread kernels: start it with "
+                         f"OPENBLAS_NUM_THREADS=1 (BLAS threads: {threads or 'unset'})")
     rows = bench_kernels(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -377,8 +367,6 @@ def cmd_bench(cfg: RunConfig) -> int:
 
 
 def _ablation_arch(study: str, variant: str):
-    from .nn import LayerSpec, apply_mode, conv_block
-
     if study == "scale":
         specs = [
             LayerSpec(kind="conv", out_ch=12, k=3, pad=1),
@@ -408,9 +396,6 @@ def _ablation_arch(study: str, variant: str):
 
 
 def run_ablation(cfg: RunConfig) -> list[dict]:
-    from .nn import build_network
-    from .train import evaluate, fit, make_optimizer
-
     train_full, val = _load_splits(cfg)
     rows = []
     for study, variants in (("scale", ("formula", "learned")),
@@ -431,8 +416,6 @@ def run_ablation(cfg: RunConfig) -> list[dict]:
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
-    import numpy as np
-
     if not cfg.data:
         raise UsageError("ablate requires --data")
     rows = run_ablation(cfg)
@@ -454,72 +437,80 @@ def cmd_ablate(cfg: RunConfig) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="xbnn", description=__doc__)
+    # no option has a default here: one left off is absent from the namespace,
+    # and RunConfig supplies it. No abbreviations either, so that ablate's
+    # --seeds does not take a --seed it does not read.
+    parser = _Parser(prog="xbnn", description=__doc__.split("\n\n")[0],
+                     argument_default=argparse.SUPPRESS, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+    def command(name, summary):
+        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS,
+                              allow_abbrev=False)
 
-    p_train = sub.add_parser("train", help="train a network from an arch config")
-    add_common(p_train)
+    def add_data(p):
+        p.add_argument("--data", required=True)
+        p.add_argument("--format", dest="fmt", choices=["IDX", "CIFAR"])
+
+    def add_model(p):
+        p.add_argument("--model", required=True)
+
+    def add_out(p):
+        p.add_argument("--out", help="output directory")
+
+    def add_seed(p):
+        p.add_argument("--seed", type=int)
+
+    def add_training(p):
+        p.add_argument("--epochs", type=int)
+        p.add_argument("--batch-size", type=int)
+        p.add_argument("--lr", type=float)
+        p.add_argument("--schedule", choices=["step", "poly"])
+        p.add_argument("--decay-factor", type=float)
+        p.add_argument("--decay-every", type=int)
+        p.add_argument("--poly-power", type=float)
+        p.add_argument("--subset", type=int)
+
+    p_train = command("train", "train a network from an arch config")
     p_train.add_argument("--arch", required=True)
-    p_train.add_argument("--data", required=True)
-    p_train.add_argument("--format", dest="fmt", default="IDX", choices=["IDX", "CIFAR"])
-    p_train.add_argument("--mode", default="full", choices=["full", "bwn", "xnor"])
-    p_train.add_argument("--epochs", type=int, default=5)
-    p_train.add_argument("--batch-size", type=int, default=64)
-    p_train.add_argument("--lr", type=float, default=0.01)
-    p_train.add_argument("--optimizer", default="", choices=["", "sgd", "adam"])
-    p_train.add_argument("--schedule", default="step", choices=["step", "poly"])
-    p_train.add_argument("--decay-factor", type=float, default=0.1)
-    p_train.add_argument("--decay-every", type=int, default=2)
-    p_train.add_argument("--poly-power", type=float, default=4.0)
-    p_train.add_argument("--subset", type=int, default=0)
-    p_train.add_argument("--k-bits", type=int, default=1)
-    p_train.add_argument("--gradient-variant", default="indicator",
-                         choices=["indicator", "scaled"])
+    add_data(p_train)
+    add_out(p_train)
+    add_seed(p_train)
+    add_training(p_train)
+    p_train.add_argument("--mode", choices=["full", "bwn", "xnor"])
+    p_train.add_argument("--optimizer", choices=["", "sgd", "adam"])
+    p_train.add_argument("--k-bits", type=int)
+    p_train.add_argument("--gradient-variant", choices=["indicator", "scaled"])
     p_train.add_argument("--binary-gradient", action="store_true")
     p_train.add_argument("--no-clamp", action="store_true")
 
-    p_eval = sub.add_parser("eval", help="evaluate a saved model")
-    add_common(p_eval)
-    p_eval.add_argument("--model", required=True)
-    p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--format", dest="fmt", default="IDX", choices=["IDX", "CIFAR"])
-    p_eval.add_argument("--split", default="val", choices=["train", "val"])
+    p_eval = command("eval", "evaluate a saved model")
+    add_model(p_eval)
+    add_data(p_eval)
+    p_eval.add_argument("--split", choices=["train", "val"])
 
-    p_bench = sub.add_parser("bench", help="benchmark kernels and write CSV")
-    add_common(p_bench)
-    p_bench.add_argument("--filters", type=int, default=32)
+    p_bench = command("bench", "benchmark kernels and write CSV")
+    add_out(p_bench)
+    add_seed(p_bench)
+    p_bench.add_argument("--filters", type=int)
     p_bench.add_argument("--quick", action="store_true")
 
-    p_ablate = sub.add_parser("ablate", help="run the scale and block-order studies")
-    add_common(p_ablate)
-    p_ablate.add_argument("--data", required=True)
-    p_ablate.add_argument("--format", dest="fmt", default="IDX", choices=["IDX", "CIFAR"])
-    p_ablate.add_argument("--seeds", type=int, default=3)
-    p_ablate.add_argument("--epochs", type=int, default=2)
-    p_ablate.add_argument("--batch-size", type=int, default=64)
-    p_ablate.add_argument("--lr", type=float, default=0.01)
-    p_ablate.add_argument("--schedule", default="step", choices=["step", "poly"])
-    p_ablate.add_argument("--decay-factor", type=float, default=0.1)
-    p_ablate.add_argument("--decay-every", type=int, default=2)
-    p_ablate.add_argument("--poly-power", type=float, default=4.0)
-    p_ablate.add_argument("--subset", type=int, default=0)
+    p_ablate = command("ablate", "run the scale and block-order studies")
+    add_data(p_ablate)
+    add_out(p_ablate)
+    add_training(p_ablate)
+    p_ablate.add_argument("--seeds", type=int)
+    p_ablate.set_defaults(epochs=2)
 
-    p_pack = sub.add_parser("pack", help="convert a checkpoint to 1-bit weights")
-    add_common(p_pack)
-    p_pack.add_argument("--model", required=True)
+    p_pack = command("pack", "convert a checkpoint to 1-bit weights")
+    add_model(p_pack)
+    add_out(p_pack)
 
-    p_desc = sub.add_parser("describe", help="print the layer table of a model")
-    add_common(p_desc)
-    p_desc.add_argument("--model", required=True)
+    add_model(command("describe", "print the layer table of a model"))
 
-    p_speed = sub.add_parser("speedup", help="print the analytic speedup model")
-    add_common(p_speed)
-    p_speed.add_argument("--c", type=int, default=0)
-    p_speed.add_argument("--nw", type=int, default=0)
+    p_speed = command("speedup", "print the analytic speedup model")
+    p_speed.add_argument("--c", type=int)
+    p_speed.add_argument("--nw", type=int)
 
     return parser
 
@@ -546,28 +537,16 @@ def cli_main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help lands here
         return 0 if exc.code in (0, None) else 1
-    cfg = RunConfig(command=ns.command)
-    for key, value in vars(ns).items():
-        if key != "command" and hasattr(cfg, key):
-            setattr(cfg, key, value)
+    cfg = RunConfig(**vars(ns))
     try:
-        return _COMMANDS[ns.command](cfg)
+        return _COMMANDS[cfg.command](cfg)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (FileNotFoundError, PermissionError) as exc:
+    except (FileNotFoundError, PermissionError, DatasetError, ModelIOError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
-        from .data import DatasetError
-        from .modelio import ModelIOError
-        from .tensor import ShapeError
-
-        if isinstance(exc, (DatasetError, ModelIOError, ShapeError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        import traceback
-
         traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

@@ -62,7 +62,9 @@ def im2col(inp: np.ndarray, geom: ConvGeometry) -> np.ndarray:
     """Receptive fields as rows, (oh*ow, c*fh*fw): a channel-major copy, transposed."""
     win = windows(np.asarray(inp)[None], geom)[0]  # (c, fh, fw, oh, ow)
     oh, ow = win.shape[3:]
-    return np.ascontiguousarray(win.reshape(-1, oh * ow)).T
+    # a copy even where the reshape alone would be a view of inp (1x1 filters,
+    # or one unpadded full-extent window), so callers may overwrite it
+    return np.array(win, order="C").reshape(-1, oh * ow).T
 
 
 def sign_patch_matrix(I, geom: ConvGeometry) -> np.ndarray:

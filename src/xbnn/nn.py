@@ -372,11 +372,12 @@ class BatchNorm2d(Layer):
     """Per-channel batch normalization with affine parameters.
 
     Training uses biased batch statistics and updates running stats with
-    momentum 0.1. Eval folds the running stats and the affine parameters into
-    one per-channel scale a = gamma / sqrt(var + eps) and shift
-    b = beta - mean * a, recomputed on every call, and returns x * a + b; it
-    differs from gamma * (x - mean) / sqrt(var + eps) + beta only by float32
-    rounding.
+    momentum 0.1. Eval folds the running variance and gamma into one
+    per-channel scale a = gamma / sqrt(var + eps), recomputed on every call,
+    and returns (x - mean) * a + beta; it differs from
+    gamma * (x - mean) / sqrt(var + eps) + beta only by float32 rounding. The
+    mean is not folded into the shift: x * a + (beta - mean * a) cancels two
+    large terms when |mean| is large against the std, and loses digits.
 
     Train mode centres the input once and reuses the centred tensor for the
     variance and, scaled in place, for xhat; forward and backward each reuse
@@ -405,10 +406,11 @@ class BatchNorm2d(Layer):
             self._tape = None
             ivar = 1.0 / np.sqrt(self.running_var.astype(x.dtype) + self.eps)
             a = self.gamma.value * ivar
-            b = self.beta.value - self.running_mean.astype(x.dtype) * a
-            inplace = overwrite_x and np.result_type(x, a) == x.dtype
-            out = np.multiply(x, a[None, :, None, None], out=x if inplace else None)
-            out += b[None, :, None, None]
+            dtype = np.result_type(x, a)
+            out = np.subtract(x, self.running_mean.astype(x.dtype)[None, :, None, None],
+                              out=x if overwrite_x and dtype == x.dtype else None, dtype=dtype)
+            out *= a[None, :, None, None]
+            out += self.beta.value[None, :, None, None]
             return out
         count = x.shape[0] * x.shape[2] * x.shape[3]
         mu = x.mean(axis=(0, 2, 3))
@@ -634,7 +636,6 @@ class Network:
     def __init__(self, layers: list[Layer], input_shape):
         self.layers = layers
         self.input_shape = tuple(input_shape)
-        self._forward_ran = False
 
     def params(self) -> list[Param]:
         out = []
@@ -649,7 +650,6 @@ class Network:
         else:
             for layer, tail in self._eval_segments():
                 x = layer.forward(x, False, tail) if tail else layer.forward(x, False)
-        self._forward_ran = train
         return x
 
     def _eval_segments(self):
@@ -674,9 +674,8 @@ class Network:
         return out.reshape(out.shape[0], -1)
 
     def backward(self, g):
-        if not self._forward_ran:
-            raise RuntimeError("backward requires a preceding train-mode forward")
-        self._forward_ran = False
+        """Raises RuntimeError unless the last forward ran in train mode and
+        no backward has consumed it yet: every layer checks its own tape."""
         g = np.asarray(g)
         if g.ndim == 2:
             g = g.reshape(*g.shape, 1, 1)

@@ -93,8 +93,21 @@ class TestArchParsing:
 
 
 class TestExitCodes:
-    def test_unknown_flag_is_user_error(self, capsys):
-        assert cli_main(["speedup", "--bogus"]) == 1
+    # each command accepts only the flags it reads; the rest are usage errors
+    @pytest.mark.parametrize("argv", [
+        ["speedup", "--bogus"],
+        ["eval", "--model", "m.xbn", "--data", "d", "--out", "o"],
+        ["eval", "--model", "m.xbn", "--data", "d", "--seed", "1"],
+        ["describe", "--model", "m.xbn", "--out", "o"],
+        ["describe", "--model", "m.xbn", "--seed", "1"],
+        ["speedup", "--out", "o"],
+        ["speedup", "--seed", "1"],
+        ["pack", "--model", "m.xbn", "--seed", "1"],
+        ["ablate", "--data", "d", "--seed", "1"],  # not an abbreviation of --seeds
+    ], ids=lambda argv: argv[0] + "-" + [a for a in argv if a.startswith("--")][-1][2:])
+    def test_unknown_flag_is_user_error(self, argv, capsys):
+        assert cli_main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_command_is_user_error(self):
         assert cli_main(["frobnicate"]) == 1
@@ -190,6 +203,12 @@ class TestBench:
         assert lines[0].startswith("kernel,c,n_w,n_i,filters,reps,ref_ms,xnor_ms")
         assert lines[0].endswith("seed")
         assert len(lines) > 4
+
+    def test_bench_refuses_more_than_one_blas_thread(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert cli_main(["bench", "--quick", "--out", str(tmp_path)]) == 1
+        assert "OPENBLAS_NUM_THREADS=1" in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
 
     def test_time_call_reports_the_median_when_one_call_stalls(self, monkeypatch):
         # a fake clock: every call takes 1 ms, except the third, which takes 1 s

@@ -120,6 +120,14 @@ class TestIm2col:
         out = (cols @ W.reshape(2, -1).T).T.reshape(2, *geom.out_hw(I.shape[1:]))
         np.testing.assert_allclose(out, conv2d_reference(I, W, geom), rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("filt_hw, hw", [((1, 1), (4, 5)), ((4, 5), (4, 5))],
+                             ids=["1x1", "full-extent"])
+    def test_returns_a_writable_copy(self, filt_hw, hw):
+        # the reshape alone would be a read-only view of I for these geometries
+        I = np.random.default_rng(2).normal(size=(3, *hw)).astype(np.float32)
+        cols = im2col(I, ConvGeometry(filt_hw=filt_hw))
+        assert cols.flags.writeable and not np.shares_memory(cols, I)
+
     def test_packed_patch_rows(self):
         rng = np.random.default_rng(1)
         I = rng.normal(size=(2, 4, 4)).astype(np.float32)
