@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitpack import PackedBits, pack, unpack
-from .tensor import ConvGeometry, ShapeError, channel_abs_mean, sign
+from .tensor import ConvGeometry, ShapeError, channel_abs_mean, pad_hw, sign
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,7 @@ def window_mean(planes: np.ndarray, geom: ConvGeometry) -> np.ndarray:
     rounding error does not grow with the planes' extent."""
     fh, fw = geom.filt_hw
     oh, ow = geom.out_hw(planes.shape[-2:])
-    if geom.pad:
-        p = geom.pad
-        planes = np.pad(planes, [(0, 0)] * (planes.ndim - 2) + [(p, p), (p, p)])
+    planes = pad_hw(planes, geom.pad)
     sums = np.zeros((*planes.shape[:-2], oh, ow))
     for tap in geom.taps(oh, ow):
         sums += planes[tap]

@@ -69,8 +69,11 @@ def unpack_bank(words, n: int) -> np.ndarray:
 
 
 def bits_to_signs(bits) -> np.ndarray:
-    """0/1 bits -> float32 +-1 (bit 1 means +1)."""
-    return np.asarray(bits, dtype=np.float32) * 2 - 1
+    """0/1 bits -> float32 +-1 (bit 1 means +1), in one new buffer."""
+    out = np.array(bits, dtype=np.float32)  # a copy even of a float32 input
+    out *= 2
+    out -= 1
+    return out
 
 
 def unpack(pb: PackedBits) -> np.ndarray:

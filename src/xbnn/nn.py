@@ -18,11 +18,18 @@ straight-through estimator standing in for the sign function's derivative.
 
 In eval, each conv's chunk loop also runs the per-image layers after it, up
 to the next conv, on each chunk's product while it is still in L2, and
-writes only the last (usually pooled) output. Every element goes through the
-same float operations as in a layer-by-layer eval, so the output is
-bit-identical; a ReLU just before a MaxPool2d runs after it, on the pooled
-chunk, which is exact since max is monotone (a zero's sign aside, which no
-later layer turns into another value).
+writes only the last (usually pooled) output. The output is bit-identical to
+a layer-by-layer eval, a zero's sign aside, which no later layer turns into
+another value. Every element goes through the same float operations, with
+one reordering: a MaxPool2d runs ahead of the ReLU and BatchNorm2d layers
+directly before it, so they work on the pooled values only. Per channel
+those layers compose to a monotone map, and every float operation in them
+rounds monotonically, so pooling first and mapping the pooled values gives
+the same result: the max where the map is non-decreasing, and the min
+where a BatchNorm's negative scale makes it decreasing. A BatchNorm whose
+scale is zero (0 * inf is NaN) or whose parameters are not finite stops the
+pool, and so does any other layer, such as BinaryActivation, whose
+sign(NaN) = -1 does not pass NaN on (see ``_pool_first``).
 
 Each binarization rule is written once: the filter scale alpha = mean|W| in
 ``binarize.filter_alphas``, the estimator's gate in ``_sign_derivative``
@@ -235,8 +242,8 @@ class Conv2d(Layer):
     integer (+-1 inputs times +-1 weights) the output is exact; elsewhere it
     differs from other summation orders by float rounding only. An eval
     forward applies K, the learned scale and then ``tail`` (per-image layers,
-    see ``Network._eval_segments``) to each chunk's product, so the
-    whole-batch conv output is never built. A train
+    see ``Network._eval_segments``, in ``_pool_first`` order) to each
+    chunk's product, so the whole-batch conv output is never built. A train
     forward keeps the strided view of the padded input on its tape; the
     backward copies it into a full-batch column matrix and takes the weight
     gradient from it with one ``tensordot`` gemm. A binarized bank maps that
@@ -313,8 +320,14 @@ class Conv2d(Layer):
         wmat = wtilde.reshape(self.out_ch, -1)
         self._tape = None
         if not train:
+            steps = None
+
             def finish(images, y):
-                return _eval_chain(tail, self._rescale(y, None if K is None else K[images])[1])
+                nonlocal steps
+                y = self._rescale(y, None if K is None else K[images])[1]
+                if steps is None:  # the first call, on no images, gives y's dtype on every chunk
+                    steps = _pool_first(tail, y.dtype)
+                return _eval_chain(steps, y)
 
             return _conv_columns(win, wmat, finish)
         if tail:
@@ -373,8 +386,8 @@ class BatchNorm2d(Layer):
 
     Training uses biased batch statistics and updates running stats with
     momentum 0.1. Eval folds the running variance and gamma into one
-    per-channel scale a = gamma / sqrt(var + eps), recomputed on every call,
-    and returns (x - mean) * a + beta; it differs from
+    per-channel scale a = gamma / sqrt(var + eps), recomputed on every call
+    by ``eval_affine``, and returns (x - mean) * a + beta; it differs from
     gamma * (x - mean) / sqrt(var + eps) + beta only by float32 rounding. The
     mean is not folded into the shift: x * a + (beta - mean * a) cancels two
     large terms when |mean| is large against the std, and loses digits.
@@ -398,16 +411,20 @@ class BatchNorm2d(Layer):
     def params(self):
         return [self.gamma, self.beta]
 
+    def eval_affine(self, dtype):
+        """(mean, a) of the eval map (x - mean) * a + beta, for x of ``dtype``."""
+        ivar = 1.0 / np.sqrt(self.running_var.astype(dtype) + self.eps)
+        return self.running_mean.astype(dtype), self.gamma.value * ivar
+
     def forward(self, x, train: bool, overwrite_x: bool = False):
         x = np.asarray(x)
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ShapeError(f"expected (N, {self.channels}, H, W), got {x.shape}")
         if not train:
             self._tape = None
-            ivar = 1.0 / np.sqrt(self.running_var.astype(x.dtype) + self.eps)
-            a = self.gamma.value * ivar
+            mean, a = self.eval_affine(x.dtype)
             dtype = np.result_type(x, a)
-            out = np.subtract(x, self.running_mean.astype(x.dtype)[None, :, None, None],
+            out = np.subtract(x, mean[None, :, None, None],
                               out=x if overwrite_x and dtype == x.dtype else None, dtype=dtype)
             out *= a[None, :, None, None]
             out += self.beta.value[None, :, None, None]
@@ -485,27 +502,49 @@ class _Pool(Layer):
         self.geom = ConvGeometry((size, size), stride=size)
 
 
+def _elementwise_max(arrays):
+    """np.maximum over a list of same-shape arrays, into a new array."""
+    out = np.maximum(arrays[0], arrays[1]) if len(arrays) > 1 else arrays[0].copy()
+    for a in arrays[2:]:
+        np.maximum(out, a, out=out)
+    return out
+
+
 class MaxPool2d(_Pool):
-    """Max over non-overlapping s x s windows.
+    """Max over non-overlapping s x s windows: the max over each window's
+    rows, then over its columns. Max is exact in any order, and the row pass
+    reads whole rows, not every s-th element.
+
+    An eval forward takes the min instead in the channels where
+    ``descending`` (per channel) is true: there the pool runs ahead of a
+    decreasing map (see ``_pool_first``). It negates those channels, takes
+    the max and negates it back: negation is exact, and the min is -max(-x),
+    a NaN included.
 
     Backward routes each window's gradient to one input only: the first
-    maximum in row-major window order, so ties (constant among sign
-    inputs) go to the lowest (dy, dx).
+    maximum in row-major window order, so ties (constant among sign inputs)
+    go to the lowest (dy, dx).
     """
 
-    def forward(self, x, train: bool, overwrite_x: bool = False):
+    def forward(self, x, train: bool, overwrite_x: bool = False, descending=None):
         x = np.asarray(x)
-        taps = [x[t] for t in self.geom.taps(*self.geom.out_hw(x.shape[2:]))]
-        out = np.maximum(taps[0], taps[1]) if len(taps) > 1 else taps[0].copy()
-        for tap in taps[2:]:
-            np.maximum(out, tap, out=out)
+        flip = None
+        if descending is not None:
+            flip = np.where(descending, -1, 1).astype(x.dtype)[:, None, None]
+            x = np.multiply(x, flip, out=x if overwrite_x else None)
+        s = self.size
+        oh, ow = self.geom.out_hw(x.shape[2:])
+        rows = _elementwise_max([x[..., dy:dy + s * oh:s, :s * ow] for dy in range(s)])
+        out = _elementwise_max([rows[..., dx::s] for dx in range(s)])
+        if flip is not None:
+            out *= flip
         self._tape = None
         if train:
             # one "first max" mask per tap: equal to the max and not already
             # claimed by an earlier tap of the same window
             unclaimed = np.ones(out.shape, dtype=bool)
             masks = []
-            for tap in taps:
+            for tap in (x[t] for t in self.geom.taps(oh, ow)):
                 mask = tap == out
                 mask &= unclaimed
                 unclaimed ^= mask
@@ -555,11 +594,51 @@ class AvgPool2d(_Pool):
 _PER_IMAGE = (BatchNorm2d, ReLU, BinaryActivation, MaxPool2d, AvgPool2d)
 
 
-def _eval_chain(layers, y):
-    """Run eval layers from _PER_IMAGE over y, a buffer the caller owns, in
-    turn; each may overwrite its input."""
-    for layer in layers:
-        y = layer.forward(y, False, overwrite_x=True)
+def _pool_first(tail, dtype):
+    """A conv's eval tail, for products of ``dtype``, as (layer, forward
+    keyword arguments) steps in the order they run.
+
+    Each MaxPool2d runs ahead of the ReLU and BatchNorm2d layers directly
+    before it, so they work on the pooled planes. Per channel those layers
+    compose to a monotone map f: ReLU is non-decreasing, and a BatchNorm's
+    (x - mean) * a + beta is decreasing where its scale a < 0. Every float
+    operation in them rounds monotonically and passes NaN on, so the pool's
+    max of f equals f of the max where f is non-decreasing, and f of the min
+    (``descending``) where it is decreasing, bit for bit up to a zero's
+    sign. That needs f free of 0 * inf and inf - inf, so a BatchNorm whose
+    a is zero or not finite, or whose mean or beta is not finite, stops the
+    pool (a is read as its forward will compute it, in the dtype it sees).
+    So does every other layer: BinaryActivation's sign(NaN) = -1 does not
+    pass NaN on, and a pool does not map each value on its own.
+    """
+    steps, senses = [], []  # per step: None, or per channel whether it decreases
+    for layer in tail:
+        sense = None
+        if isinstance(layer, ReLU):
+            sense = False
+        elif isinstance(layer, BatchNorm2d):
+            mean, a = layer.eval_affine(dtype)
+            if a.all() and all(np.isfinite(v).all() for v in (mean, a, layer.beta.value)):
+                sense = a < 0
+            dtype = np.result_type(dtype, a)  # what the BatchNorm returns
+        elif isinstance(layer, MaxPool2d):
+            at, descending = len(steps), False
+            while at and senses[at - 1] is not None:
+                at -= 1
+                descending = descending ^ senses[at]
+            steps.insert(at, (layer, {"descending": descending} if np.any(descending) else {}))
+            senses.insert(at, None)
+            continue
+        steps.append((layer, {}))
+        senses.append(sense)
+    return steps
+
+
+def _eval_chain(steps, y):
+    """Run (layer, keyword arguments) steps of eval layers from _PER_IMAGE
+    over y, a buffer the caller owns, in turn; each may overwrite its input."""
+    for layer, kwargs in steps:
+        y = layer.forward(y, False, overwrite_x=True, **kwargs)
     return y
 
 
@@ -654,17 +733,13 @@ class Network:
 
     def _eval_segments(self):
         """The layers as (layer, tail) pairs for an eval forward: each conv
-        takes the per-image layers up to the next conv as its tail, with a
-        ReLU that directly precedes a MaxPool2d moved after it; every other
-        layer runs alone, with an empty tail."""
+        takes the per-image layers up to the next conv as its tail, which it
+        runs in ``_pool_first`` order; every other layer runs alone, with an
+        empty tail."""
         segments = []
         for layer in self.layers:
             if segments and isinstance(segments[-1][0], Conv2d) and isinstance(layer, _PER_IMAGE):
-                tail = segments[-1][1]
-                if isinstance(layer, MaxPool2d) and tail and isinstance(tail[-1], ReLU):
-                    tail.insert(-1, layer)
-                else:
-                    tail.append(layer)
+                segments[-1][1].append(layer)
             else:
                 segments.append((layer, []))
         return segments

@@ -84,9 +84,22 @@ def channel_abs_mean(inp) -> np.ndarray:
 
 
 def pad_chw(inp: np.ndarray, pad: int) -> np.ndarray:
+    """The oracle's zero pad: np.pad, so it shares no code with ``pad_hw``."""
     if pad == 0:
         return inp
     return np.pad(inp, ((0, 0), (pad, pad), (pad, pad)))
+
+
+def pad_hw(x: np.ndarray, pad: int, value: float = 0.0) -> np.ndarray:
+    """(..., H, W) -> (..., H + 2*pad, W + 2*pad) with a border of ``value``
+    in x's dtype: what np.pad's constant mode gives, in one fill and one
+    interior copy. pad = 0 returns x itself."""
+    if pad == 0:
+        return x
+    *lead, h, w = x.shape
+    out = np.full((*lead, h + 2 * pad, w + 2 * pad), value, dtype=x.dtype)
+    out[..., pad:h + pad, pad:w + pad] = x
+    return out
 
 
 def windows(x, geom: ConvGeometry, pad_value: float = 0.0) -> np.ndarray:
@@ -98,9 +111,7 @@ def windows(x, geom: ConvGeometry, pad_value: float = 0.0) -> np.ndarray:
     input.
     """
     geom.out_hw(x.shape[2:])
-    if geom.pad:
-        p = geom.pad
-        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=pad_value)
+    x = pad_hw(x, geom.pad, pad_value)
     s = geom.stride
     win = np.lib.stride_tricks.sliding_window_view(x, geom.filt_hw, axis=(2, 3))
     return win[:, :, ::s, ::s].transpose(0, 1, 4, 5, 2, 3)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbnn.bitpack import WORD_BITS, pack, unpack, unpack_bank, words_from_bits, xnor_dot
+from xbnn.bitpack import WORD_BITS, bits_to_signs, pack, unpack, unpack_bank, words_from_bits, xnor_dot
 
 sign_vectors = st.lists(st.sampled_from([-1.0, 1.0]), min_size=1, max_size=300).map(np.array)
 
@@ -67,6 +67,17 @@ class TestUnpackBank:
             assert bits.shape == (5, n) and bits.dtype == np.uint8
             np.testing.assert_array_equal(bits, (vs > 0).astype(np.uint8))
             np.testing.assert_array_equal(unpack_bank(words[2], n), bits[2])
+
+
+class TestBitsToSigns:
+    @pytest.mark.parametrize("dtype", [np.uint8, bool, np.float32, np.float64])
+    def test_values_in_a_new_float32_buffer(self, dtype):
+        bits = np.array([[1, 0, 1], [0, 0, 1]], dtype=dtype)
+        before = bits.copy()
+        signs = bits_to_signs(bits)
+        assert signs.dtype == np.float32 and not np.shares_memory(signs, bits)
+        np.testing.assert_array_equal(signs, [[1, -1, 1], [-1, -1, 1]])
+        np.testing.assert_array_equal(bits, before)
 
 
 class TestXnorDot:

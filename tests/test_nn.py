@@ -942,13 +942,68 @@ class TestEvalSegments:
         np.testing.assert_array_equal(got, want)
 
     def test_toy_net_segments(self):
-        # ReLU runs after MaxPool, on the pooled chunk; the BatchNorm before
-        # the binconv closes the first conv's segment
-        plan = [(type(layer).__name__, [type(t).__name__ for t in tail])
+        # each MaxPool runs first, ahead of the BatchNorm and ReLU before it;
+        # the BatchNorm before the binconv closes the first conv's segment
+        plan = [(type(layer).__name__, [type(step).__name__ for step, _ in
+                                        nn._pool_first(tail, np.float32)])
                 for layer, tail in toy_xnor_net()._eval_segments()]
-        assert plan == [("Conv2d", ["BatchNorm2d", "MaxPool2d", "ReLU", "BatchNorm2d"]),
+        assert plan == [("Conv2d", ["MaxPool2d", "BatchNorm2d", "ReLU", "BatchNorm2d"]),
                         ("Conv2d", ["MaxPool2d", "ReLU"]),
                         ("Conv2d", [])]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_pool_first_equals_layer_by_layer(self, data):
+        """BatchNorm -> ReLU (-> BatchNorm) -> MaxPool run pool first, with
+        gammas of either sign, tiny, or zero of either sign (where the pool
+        must stay behind), on inputs with infinities and NaN."""
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        c, h, w = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 7)), data.draw(st.integers(2, 7))
+        tiny = float(np.finfo(dtype).smallest_subnormal)
+        gammas = st.one_of(st.floats(-3, 3, width=32),
+                           st.sampled_from([0.0, -0.0, tiny, -tiny, 1e-40, -1e-40, 1e-30]))
+        layers = []
+        for _ in range(data.draw(st.integers(1, 2))):
+            bn = BatchNorm2d(c)
+            bn.running_mean = data.draw(hnp.arrays(dtype, c, elements=st.floats(-2, 2, width=32)))
+            bn.running_var = data.draw(hnp.arrays(dtype, c, elements=st.floats(0, 1e4, width=32)))
+            bn.gamma.value = data.draw(hnp.arrays(dtype, c, elements=gammas))
+            bn.beta.value = data.draw(hnp.arrays(dtype, c, elements=st.floats(-2, 2, width=32)))
+            layers += [bn, ReLU()]
+        pool = MaxPool2d(2)
+        layers = layers[:data.draw(st.sampled_from([-1, len(layers)]))] + [pool]
+        x = data.draw(hnp.arrays(dtype, (3, c, h, w), elements=st.one_of(
+            st.floats(-3, 3, width=32), st.sampled_from([np.inf, -np.inf, np.nan, -0.0]))))
+
+        steps = nn._pool_first(layers, x.dtype)
+        with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf and inf - inf
+            want = x
+            for layer in layers:
+                want = layer.forward(want, train=False)
+            got = nn._eval_chain(steps, x.copy())
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        scales = [l.eval_affine(dtype)[1] for l in layers if isinstance(l, BatchNorm2d)]
+        assert (steps[0][0] is pool) == all(a.all() for a in scales)
+
+    @pytest.mark.parametrize("field", ["running_mean", "beta"])
+    def test_non_finite_batchnorm_stops_the_pool(self, field):
+        bn, relu, pool = BatchNorm2d(2), ReLU(), MaxPool2d(2)
+        values = np.zeros(2, dtype=np.float32)
+        values[1] = np.inf  # inf - inf or -inf + inf would be NaN on one side only
+        if field == "beta":
+            bn.beta.value = values
+        else:
+            bn.running_mean = values
+        order = [step for step, _ in nn._pool_first([bn, relu, pool], np.float32)]
+        assert order == [bn, pool, relu]
+
+    def test_binary_activation_stops_the_pool(self):
+        bn, act, relu, pool = BatchNorm2d(2), BinaryActivation(), ReLU(), MaxPool2d(2)
+        order = [step for step, _ in nn._pool_first([bn, act, relu, pool], np.float32)]
+        assert order == [bn, act, pool, relu]
+        order = [step for step, _ in nn._pool_first([relu, act, pool], np.float32)]
+        assert order == [relu, act, pool]
 
     @pytest.mark.parametrize("arch", ["toy", "leading-relu-unpadded"])
     def test_eval_forward_leaves_input_and_tapes_alone(self, arch):

@@ -8,6 +8,7 @@ from xbnn.tensor import (
     ShapeError,
     channel_abs_mean,
     conv2d_reference,
+    pad_hw,
     sign,
     windows,
 )
@@ -112,6 +113,23 @@ class TestConv2dReference:
         np.testing.assert_allclose(
             out[0], [[1.0, 3.0, 2.0], [4.0, 10.0, 6.0], [3.0, 7.0, 4.0]]
         )
+
+
+class TestPadHW:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
+    @pytest.mark.parametrize("shape, pad, value", [((2, 3, 5, 4), 1, 0.0), ((3, 7, 6), 2, 1.0),
+                                                   ((1, 1), 3, -1.0)])
+    def test_equals_np_pad(self, dtype, shape, pad, value):
+        value = abs(value) if dtype == np.uint8 else value
+        x = np.random.default_rng(5).normal(4, 2, size=shape).astype(dtype)
+        want = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(pad, pad), (pad, pad)], constant_values=value)
+        got = pad_hw(x, pad, value)
+        assert got.dtype == x.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_pad_zero_returns_input(self):
+        x = np.arange(6.0).reshape(1, 2, 3)
+        assert pad_hw(x, 0, 1.0) is x
 
 
 class TestElementwise:
