@@ -9,9 +9,11 @@ A conv's flags byte keeps the k_bits of its input quantizer, minus one, in
 its high nibble. Conv payloads are either raw float32 weights (training
 checkpoints) or the packed form: per filter ceil(n/64) uint64 sign words
 (bitpack layout) followed by one float32 scale per filter. Loading a packed
-convolution reconstructs exactly the effective weights the in-memory network
-would compute, so an exported model evaluates bit-identically without the
-real-valued weights.
+convolution gives back a binarized conv whose weights are alpha * sign and
+whose binarizing keeps the stored scales until it trains, so an exported
+model evaluates bit-identically without the real-valued weights.
+
+A pool header keeps a stride field, always equal to the window size.
 """
 
 from __future__ import annotations
@@ -81,25 +83,19 @@ def _read(fh, count: int, what: str) -> bytes:
     return buf
 
 
-def _binarized(layer: Conv2d) -> bool:
-    """Whether a conv's weights are 1-bit: binarized on every forward, or
-    loaded from packed bits as alpha * sign."""
-    return layer.binarize_weights or layer.frozen_alphas is not None
-
-
 def _write_conv(fh, layer: Conv2d, pack_binarized: bool) -> None:
-    binarized = _binarized(layer)
     flags = (layer.k_bits - 1) << _K_BITS_SHIFT
-    if binarized:
+    if layer.binarize_weights:
         flags |= _FLAG_BIN_WEIGHTS
     if layer.binarize_input:
         flags |= _FLAG_BIN_INPUT
     if layer.learned_scale:
         flags |= _FLAG_LEARNED_SCALE
-    # a frozen layer is always written packed: it has no real-valued weights
-    # to keep, and written raw, the next load would recompute its scales as a
-    # float32 mean of alpha * sign, which does not reproduce them
-    packed = binarized and (pack_binarized or layer.frozen_alphas is not None)
+    # a layer that keeps its loaded scales is always written packed: it has
+    # no real-valued weights to keep, and written raw, the next load would
+    # recompute its scales as a float32 mean of alpha * sign, which does not
+    # reproduce them
+    packed = layer.binarize_weights and (pack_binarized or layer.frozen_alphas is not None)
     if packed:
         flags |= _FLAG_PACKED
     fh.write(struct.pack("<BB", _KIND_CONV, flags))
@@ -128,7 +124,7 @@ def _read_conv(fh, flags: int) -> Conv2d:
     packed = bool(flags & _FLAG_PACKED)
     learned = bool(flags & _FLAG_LEARNED_SCALE)
     layer = Conv2d(in_ch, out_ch, (fh_, fw_), stride=stride, pad=pad,
-                   binarize_weights=bool(flags & _FLAG_BIN_WEIGHTS) and (not packed or learned),
+                   binarize_weights=bool(flags & _FLAG_BIN_WEIGHTS),
                    binarize_input=bool(flags & _FLAG_BIN_INPUT),
                    learned_scale=learned, k_bits=(flags >> _K_BITS_SHIFT) + 1,
                    rng=np.random.default_rng(0))
@@ -177,9 +173,10 @@ def save(net: Network, path, *, pack_binarized: bool = False) -> None:
     """Serialize a network; ``pack_binarized=True`` stores binarized-weight
     convolutions as 1-bit sign words plus per-filter scales. A convolution
     loaded from packed bits without a learned scale has no real-valued
-    weights, so it is always stored packed and re-saves byte for byte; one
-    with a learned scale keeps its signs as real weights and, like any
-    other, is stored packed only with ``pack_binarized=True``."""
+    weights until it trains, so until then it is always stored packed and
+    re-saves byte for byte; one with a learned scale keeps its signs as real
+    weights and, like any other, is stored packed only with
+    ``pack_binarized=True``."""
     for layer in net.conv_layers():
         if not 1 <= layer.k_bits <= _MAX_K_BITS:
             raise ModelIOError(f"k_bits={layer.k_bits} does not fit a model file "
@@ -201,10 +198,10 @@ def save(net: Network, path, *, pack_binarized: bool = False) -> None:
                 fh.write(struct.pack("<B", layer.k_bits))
             elif isinstance(layer, MaxPool2d):
                 fh.write(struct.pack("<BB", _KIND_MAXPOOL, 0))
-                fh.write(struct.pack("<HH", layer.size, layer.stride))
+                fh.write(struct.pack("<HH", layer.size, layer.size))
             elif isinstance(layer, AvgPool2d):
                 fh.write(struct.pack("<BB", _KIND_AVGPOOL, 0))
-                fh.write(struct.pack("<HH", layer.size, layer.stride))
+                fh.write(struct.pack("<HH", layer.size, layer.size))
             else:
                 raise ModelIOError(f"cannot serialize layer {type(layer).__name__}")
 
@@ -233,8 +230,11 @@ def load(path) -> Network:
                 layers.append(BinaryActivation(k_bits=k_bits))
             elif kind in (_KIND_MAXPOOL, _KIND_AVGPOOL):
                 size, stride = struct.unpack("<HH", _read(fh, 4, "pool header"))
+                if not size or stride != size:
+                    raise ModelIOError(f"layer {i}: pool of size {size} with stride {stride}; "
+                                       "a pool's stride is its size")
                 cls = MaxPool2d if kind == _KIND_MAXPOOL else AvgPool2d
-                layers.append(cls(size, stride))
+                layers.append(cls(size))
             else:
                 raise ModelIOError(f"unknown layer kind tag {kind}")
         trailing = fh.read(1)
@@ -283,7 +283,7 @@ def _layer_arch(layer: Layer) -> list:
     if isinstance(layer, Conv2d):
         n = layer.in_ch * layer.geom.filt_hw[0] * layer.geom.filt_hw[1]
         scales = [layer.out_ch] if layer.learned_scale else []
-        return [(layer.out_ch, n, _binarized(layer))] + scales
+        return [(layer.out_ch, n, layer.binarize_weights)] + scales
     if isinstance(layer, BatchNorm2d):
         return [4 * layer.channels]
     return []
@@ -305,12 +305,12 @@ def describe(net: Network) -> str:
             name = "conv"
             detail = (f"{layer.in_ch}->{layer.out_ch} {fh_}x{fw_} s{layer.geom.stride} "
                       f"p{layer.geom.pad}"
-                      + (" Wbin" if _binarized(layer) else "")
+                      + (" Wbin" if layer.binarize_weights else "")
                       + (" Ibin" if layer.binarize_input else ""))
         elif isinstance(layer, BatchNorm2d):
             name, detail = "batchnorm", f"channels={layer.channels}"
         elif isinstance(layer, (MaxPool2d, AvgPool2d)):
-            detail = f"{layer.size}x{layer.size} s{layer.stride}"
+            detail = f"{layer.size}x{layer.size} s{layer.size}"
         arch = _layer_arch(layer)
         lines.append(f"{i:>3} {name:<14} {detail:<34} {memory_footprint(arch, 'float32'):>10} "
                      f"{memory_footprint(arch, 'binary'):>10}")

@@ -12,9 +12,11 @@ extent, and the pools and ``_col2im`` their window taps, from a
 chunk of images at a time (about 1 MiB of columns, so a chunk stays in L2)
 and never holds a whole batch of columns; the backward builds them once.
 Binarized layers recompute their sign/scale factorization from the
-real-valued weights on every forward, so the optimizer only ever touches
-real parameters. Gradients flow through the binarized weights, with the
-straight-through estimator standing in for the sign function's derivative.
+real-valued weights on every forward (a conv loaded from packed bits keeps
+its stored scales until its first train-mode forward), so the optimizer
+only ever touches real parameters. Gradients flow through the binarized
+weights, with the straight-through estimator standing in for the sign
+function's derivative.
 
 In eval, each conv's chunk loop also runs the per-image layers after it, up
 to the next conv, on each chunk's product while it is still in L2, and
@@ -23,13 +25,12 @@ a layer-by-layer eval, a zero's sign aside, which no later layer turns into
 another value. Every element goes through the same float operations, with
 one reordering: a MaxPool2d runs ahead of the ReLU and BatchNorm2d layers
 directly before it, so they work on the pooled values only. Per channel
-those layers compose to a monotone map, and every float operation in them
-rounds monotonically, so pooling first and mapping the pooled values gives
-the same result: the max where the map is non-decreasing, and the min
-where a BatchNorm's negative scale makes it decreasing. A BatchNorm whose
-scale is zero (0 * inf is NaN) or whose parameters are not finite stops the
-pool, and so does any other layer, such as BinaryActivation, whose
-sign(NaN) = -1 does not pass NaN on (see ``_pool_first``).
+those layers compose to a non-decreasing map, and every float operation in
+them rounds monotonically, so the max of the mapped values is the map of
+the max. A BatchNorm whose scale is not positive (a negative one makes the
+map decreasing, and 0 * inf is NaN) or whose parameters are not finite
+stops the pool, and so does any other layer, such as BinaryActivation,
+whose sign(NaN) = -1 does not pass NaN on (see ``_pool_first``).
 
 Each binarization rule is written once: the filter scale alpha = mean|W| in
 ``binarize.filter_alphas``, the estimator's gate in ``_sign_derivative``
@@ -278,8 +279,9 @@ class Conv2d(Layer):
         if learned_scale:
             self.alpha = Param("alpha", np.ones(out_ch, dtype=np.float32))
         self.binarize_count = 0
-        # per-filter scales of weights loaded from packed bits: the weights
-        # are then alpha * sign and no longer binarized on forward
+        # the stored per-filter scales of weights loaded from packed bits as
+        # alpha * sign: the float32 mean|alpha * sign| need not give alpha
+        # back, so binarizing uses them until a train-mode forward drops them
         self.frozen_alphas = None
 
     def params(self):
@@ -297,13 +299,15 @@ class Conv2d(Layer):
         sgn = sign(W)
         if self.learned_scale:
             return sgn, None
-        alphas = filter_alphas(W)
+        alphas = filter_alphas(W) if self.frozen_alphas is None else self.frozen_alphas
         return alphas[:, None, None, None] * sgn, alphas
 
     def forward(self, x, train: bool, tail=()):
         x = np.asarray(x)
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise ShapeError(f"expected (N, {self.in_ch}, H, W), got {x.shape}")
+        if train:
+            self.frozen_alphas = None  # training moves W: alpha is mean|W| again
         wtilde, alphas = self.effective_weights()
 
         K = None
@@ -494,11 +498,8 @@ class _Pool(Layer):
     """Non-overlapping s x s windows: ``geom`` gives their output extent and
     taps; rows and columns past the last whole window are dropped."""
 
-    def __init__(self, size=2, stride=None):
+    def __init__(self, size=2):
         self.size = size
-        self.stride = stride if stride is not None else size
-        if self.stride != self.size:
-            raise ShapeError("pooling currently supports stride == window size")
         self.geom = ConvGeometry((size, size), stride=size)
 
 
@@ -515,29 +516,17 @@ class MaxPool2d(_Pool):
     rows, then over its columns. Max is exact in any order, and the row pass
     reads whole rows, not every s-th element.
 
-    An eval forward takes the min instead in the channels where
-    ``descending`` (per channel) is true: there the pool runs ahead of a
-    decreasing map (see ``_pool_first``). It negates those channels, takes
-    the max and negates it back: negation is exact, and the min is -max(-x),
-    a NaN included.
-
     Backward routes each window's gradient to one input only: the first
     maximum in row-major window order, so ties (constant among sign inputs)
     go to the lowest (dy, dx).
     """
 
-    def forward(self, x, train: bool, overwrite_x: bool = False, descending=None):
+    def forward(self, x, train: bool, overwrite_x: bool = False):
         x = np.asarray(x)
-        flip = None
-        if descending is not None:
-            flip = np.where(descending, -1, 1).astype(x.dtype)[:, None, None]
-            x = np.multiply(x, flip, out=x if overwrite_x else None)
         s = self.size
         oh, ow = self.geom.out_hw(x.shape[2:])
         rows = _elementwise_max([x[..., dy:dy + s * oh:s, :s * ow] for dy in range(s)])
         out = _elementwise_max([rows[..., dx::s] for dx in range(s)])
-        if flip is not None:
-            out *= flip
         self._tape = None
         if train:
             # one "first max" mask per tap: equal to the max and not already
@@ -595,50 +584,43 @@ _PER_IMAGE = (BatchNorm2d, ReLU, BinaryActivation, MaxPool2d, AvgPool2d)
 
 
 def _pool_first(tail, dtype):
-    """A conv's eval tail, for products of ``dtype``, as (layer, forward
-    keyword arguments) steps in the order they run.
+    """A conv's eval tail, for products of ``dtype``, as layers in the order
+    they run.
 
     Each MaxPool2d runs ahead of the ReLU and BatchNorm2d layers directly
     before it, so they work on the pooled planes. Per channel those layers
-    compose to a monotone map f: ReLU is non-decreasing, and a BatchNorm's
-    (x - mean) * a + beta is decreasing where its scale a < 0. Every float
+    compose to a non-decreasing map f: ReLU is one, and so is a BatchNorm's
+    (x - mean) * a + beta where its scale a is positive. Every float
     operation in them rounds monotonically and passes NaN on, so the pool's
-    max of f equals f of the max where f is non-decreasing, and f of the min
-    (``descending``) where it is decreasing, bit for bit up to a zero's
-    sign. That needs f free of 0 * inf and inf - inf, so a BatchNorm whose
-    a is zero or not finite, or whose mean or beta is not finite, stops the
-    pool (a is read as its forward will compute it, in the dtype it sees).
-    So does every other layer: BinaryActivation's sign(NaN) = -1 does not
-    pass NaN on, and a pool does not map each value on its own.
+    max of f equals f of the max, bit for bit up to a zero's sign. That
+    needs f free of 0 * inf and inf - inf, so a BatchNorm whose a is not
+    positive and finite in every channel, or whose mean or beta is not
+    finite, stops the pool (a is read as its forward will compute it, in the
+    dtype it sees). So does every other layer: BinaryActivation's
+    sign(NaN) = -1 does not pass NaN on, and a pool does not map each value
+    on its own.
     """
-    steps, senses = [], []  # per step: None, or per channel whether it decreases
+    steps, run = [], 0  # run: how many of the last steps are non-decreasing maps
     for layer in tail:
-        sense = None
-        if isinstance(layer, ReLU):
-            sense = False
-        elif isinstance(layer, BatchNorm2d):
-            mean, a = layer.eval_affine(dtype)
-            if a.all() and all(np.isfinite(v).all() for v in (mean, a, layer.beta.value)):
-                sense = a < 0
-            dtype = np.result_type(dtype, a)  # what the BatchNorm returns
-        elif isinstance(layer, MaxPool2d):
-            at, descending = len(steps), False
-            while at and senses[at - 1] is not None:
-                at -= 1
-                descending = descending ^ senses[at]
-            steps.insert(at, (layer, {"descending": descending} if np.any(descending) else {}))
-            senses.insert(at, None)
+        if isinstance(layer, MaxPool2d):
+            steps.insert(len(steps) - run, layer)
             continue
-        steps.append((layer, {}))
-        senses.append(sense)
+        rising = isinstance(layer, ReLU)
+        if isinstance(layer, BatchNorm2d):
+            mean, a = layer.eval_affine(dtype)
+            rising = bool((a > 0).all()) and all(
+                np.isfinite(v).all() for v in (mean, a, layer.beta.value))
+            dtype = np.result_type(dtype, a)  # what the BatchNorm returns
+        run = run + 1 if rising else 0
+        steps.append(layer)
     return steps
 
 
 def _eval_chain(steps, y):
-    """Run (layer, keyword arguments) steps of eval layers from _PER_IMAGE
-    over y, a buffer the caller owns, in turn; each may overwrite its input."""
-    for layer, kwargs in steps:
-        y = layer.forward(y, False, overwrite_x=True, **kwargs)
+    """Run eval layers from _PER_IMAGE over y, a buffer the caller owns, in
+    turn; each may overwrite its input."""
+    for layer in steps:
+        y = layer.forward(y, False, overwrite_x=True)
     return y
 
 
@@ -665,6 +647,11 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
+        if self.kind in ("conv", "binconv") and self.out_ch < 1:
+            raise ValueError(f"{self.kind} needs out >= 1, got {self.out_ch}")
+        for name, low in (("k", 0), ("stride", 1), ("pad", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 def _inner_convs(specs: list[LayerSpec]) -> list[LayerSpec]:
@@ -793,8 +780,7 @@ def build_network(specs: list[LayerSpec], input_shape, seed: int = 0, *,
     layers: list[Layer] = []
     for s in specs:
         if s.kind in ("conv", "binconv"):
-            k = s.k if s.k > 0 else 0
-            filt_hw = (k, k) if k else (h, w)
+            filt_hw = (s.k, s.k) if s.k else (h, w)
             layer = Conv2d(c, s.out_ch, filt_hw, stride=s.stride, pad=s.pad,
                            binarize_weights=s.binarize_weights,
                            binarize_input=s.binarize_input,
@@ -809,9 +795,10 @@ def build_network(specs: list[LayerSpec], input_shape, seed: int = 0, *,
         elif s.kind == "binactiv":
             layer = BinaryActivation(k_bits=k_bits, ste_variant=ste_variant)
         elif s.kind in ("maxpool", "avgpool"):
-            size = s.k if s.k > 0 else 2
-            stride = s.stride if s.stride > 1 else size
-            layer = (MaxPool2d if s.kind == "maxpool" else AvgPool2d)(size, stride)
+            size = s.k or 2
+            if s.stride not in (1, size):
+                raise ShapeError("pooling currently supports stride == window size")
+            layer = (MaxPool2d if s.kind == "maxpool" else AvgPool2d)(size)
         else:  # pragma: no cover - guarded by LayerSpec.__post_init__
             raise ValueError(f"unhandled kind {s.kind}")
         if isinstance(layer, (Conv2d, _Pool)):

@@ -121,6 +121,16 @@ class TestExitCodes:
                        "--data", str(tmp_path / "nope"), "--out", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("line", ["conv out=0 k=3", "conv out=4 k=-3", "maxpool k=-1",
+                                      "conv out=4 k=3 stride=0", "conv out=4 k=3 pad=-1"])
+    def test_malformed_arch_value_is_user_error(self, data_dir, tmp_path, line, capsys):
+        arch = tmp_path / "bad.cfg"
+        arch.write_text(TOY_ARCH.replace("maxpool k=2", line, 1))
+        rc = cli_main(["train", "--arch", str(arch), "--data", str(data_dir),
+                       "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert "arch line 5" in capsys.readouterr().err
+
     def test_bad_model_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.xbn"
         bad.write_bytes(b"NOPE" + b"\x00" * 32)

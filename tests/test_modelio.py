@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from xbnn.nn import (
     build_network,
     conv_block,
 )
-from xbnn.train import SGDMomentum, evaluate, train_step
+from xbnn.train import SGDMomentum, clamp_binarized_weights, evaluate, train_step
 
 
 def random_net(seed, mode="bwn", k_bits=1):
@@ -138,6 +140,36 @@ class TestPackedExport:
                     net.forward(x, train=False), load(again).forward(x, train=False)
                 )
 
+    @pytest.mark.parametrize("mode", ["bwn", "xnor"])
+    def test_fine_tuned_packed_model_round_trips(self, tmp_path, mode):
+        # a conv loaded from packed bits is a binarized conv: it describes as
+        # Wbin, it clamps, and once trained it re-saves with its new scales
+        net, images = self._trained_net(mode)
+        path = tmp_path / "packed.xbn"
+        save(net, path, pack_binarized=True)
+        loaded = load(path)
+        assert [c.binarize_weights for c in loaded.conv_layers()] == [False, True, False]
+        rows = [r for r in describe(loaded).splitlines()[1:-1] if r.split()[1] == "conv"]
+        assert ["Wbin" in r for r in rows] == [False, True, False]
+        weights = loaded.conv_layers()[1].weight.value
+        weights[0] = 3.0
+        clamp_binarized_weights(loaded)
+        assert weights.max() == 1.0
+
+        tuned = load(path)
+        labels = np.random.default_rng(1).integers(0, 5, len(images))
+        for _ in range(3):
+            train_step(tuned, (images, labels), SGDMomentum(lr=0.05))
+        want = tuned.forward(images, train=False)
+        sizes = []
+        for pack in (False, True):
+            save(tuned, tmp_path / "tuned.xbn", pack_binarized=pack)
+            np.testing.assert_array_equal(load(tmp_path / "tuned.xbn").forward(images, train=False),
+                                          want)
+            sizes.append((tmp_path / "tuned.xbn").stat().st_size)
+        # trained, it has real-valued weights again, which a raw save keeps
+        assert sizes[0] > sizes[1]
+
     def test_packed_learned_scale_evaluates_identically(self, tmp_path):
         rng = np.random.default_rng(4)
         specs = [
@@ -196,6 +228,23 @@ class TestErrors:
         path = self._saved(tmp_path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(SizeMismatchError):
+            load(path)
+
+    @pytest.mark.parametrize("kind", ["maxpool", "avgpool"])
+    @pytest.mark.parametrize("size, stride", [(2, 1), (2, 3), (0, 0)])
+    def test_pool_stride_must_be_its_size(self, tmp_path, kind, size, stride):
+        specs = [LayerSpec(kind="conv", out_ch=2, k=3, pad=1), LayerSpec(kind=kind, k=2),
+                 LayerSpec(kind="conv", out_ch=3)]
+        net = build_network(specs, (1, 4, 4), seed=0)
+        path = tmp_path / "m.xbn"
+        save(net, path)
+        raw = bytearray(path.read_bytes())
+        # header, then the conv's tag, header and raw weights, then the pool's tag
+        at = 20 + 2 + 12 + 4 * net.layers[0].weight.value.size + 2
+        assert struct.unpack_from("<HH", raw, at) == (2, 2)  # size, then stride
+        struct.pack_into("<HH", raw, at, size, stride)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ModelIOError, match="stride"):
             load(path)
 
 

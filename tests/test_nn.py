@@ -944,7 +944,7 @@ class TestEvalSegments:
     def test_toy_net_segments(self):
         # each MaxPool runs first, ahead of the BatchNorm and ReLU before it;
         # the BatchNorm before the binconv closes the first conv's segment
-        plan = [(type(layer).__name__, [type(step).__name__ for step, _ in
+        plan = [(type(layer).__name__, [type(step).__name__ for step in
                                         nn._pool_first(tail, np.float32)])
                 for layer, tail in toy_xnor_net()._eval_segments()]
         assert plan == [("Conv2d", ["MaxPool2d", "BatchNorm2d", "ReLU", "BatchNorm2d"]),
@@ -954,9 +954,10 @@ class TestEvalSegments:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_pool_first_equals_layer_by_layer(self, data):
-        """BatchNorm -> ReLU (-> BatchNorm) -> MaxPool run pool first, with
-        gammas of either sign, tiny, or zero of either sign (where the pool
-        must stay behind), on inputs with infinities and NaN."""
+        """BatchNorm -> ReLU (-> BatchNorm) -> MaxPool run pool first where
+        every gamma is positive, and give the same result with gammas of
+        either sign, tiny, or zero of either sign (where the pool must stay
+        behind), on inputs with infinities and NaN."""
         dtype = data.draw(st.sampled_from([np.float32, np.float64]))
         c, h, w = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 7)), data.draw(st.integers(2, 7))
         tiny = float(np.finfo(dtype).smallest_subnormal)
@@ -984,26 +985,25 @@ class TestEvalSegments:
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
         scales = [l.eval_affine(dtype)[1] for l in layers if isinstance(l, BatchNorm2d)]
-        assert (steps[0][0] is pool) == all(a.all() for a in scales)
+        assert (steps[0] is pool) == all((a > 0).all() for a in scales)
 
-    @pytest.mark.parametrize("field", ["running_mean", "beta"])
+    @pytest.mark.parametrize("field", ["running_mean", "beta", "gamma"])
     def test_non_finite_batchnorm_stops_the_pool(self, field):
         bn, relu, pool = BatchNorm2d(2), ReLU(), MaxPool2d(2)
         values = np.zeros(2, dtype=np.float32)
         values[1] = np.inf  # inf - inf or -inf + inf would be NaN on one side only
         if field == "beta":
             bn.beta.value = values
+        elif field == "gamma":
+            bn.gamma.value = np.array([1.0, -0.5], dtype=np.float32)  # decreasing in one channel
         else:
             bn.running_mean = values
-        order = [step for step, _ in nn._pool_first([bn, relu, pool], np.float32)]
-        assert order == [bn, pool, relu]
+        assert nn._pool_first([bn, relu, pool], np.float32) == [bn, pool, relu]
 
     def test_binary_activation_stops_the_pool(self):
         bn, act, relu, pool = BatchNorm2d(2), BinaryActivation(), ReLU(), MaxPool2d(2)
-        order = [step for step, _ in nn._pool_first([bn, act, relu, pool], np.float32)]
-        assert order == [bn, act, pool, relu]
-        order = [step for step, _ in nn._pool_first([relu, act, pool], np.float32)]
-        assert order == [relu, act, pool]
+        assert nn._pool_first([bn, act, relu, pool], np.float32) == [bn, act, pool, relu]
+        assert nn._pool_first([relu, act, pool], np.float32) == [relu, act, pool]
 
     @pytest.mark.parametrize("arch", ["toy", "leading-relu-unpadded"])
     def test_eval_forward_leaves_input_and_tapes_alone(self, arch):
@@ -1161,6 +1161,15 @@ class TestSpecsAndModes:
         build_network(specs, (1, 4, 5), seed=0)
         with pytest.raises(ShapeError):
             build_network(specs, (1, 3, 5), seed=0)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4])
+    def test_build_pool_stride_is_one_or_its_size(self, stride):
+        specs = [LayerSpec(kind="maxpool", k=3, stride=stride), LayerSpec(kind="conv", out_ch=2)]
+        if stride in (1, 3):
+            assert build_network(specs, (1, 6, 6)).layers[0].geom.stride == 3
+        else:
+            with pytest.raises(ShapeError, match="stride"):
+                build_network(specs, (1, 6, 6))
 
     def test_full_precision_convs_have_no_learned_scale(self):
         # a learned scale multiplies binarized weights only: the end convs and
