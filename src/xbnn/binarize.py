@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitpack import PackedBits, pack, unpack
+from .bitpack import PackedBits, pack, unpack, words_from_bits
 from .tensor import ConvGeometry, ShapeError, channel_abs_mean, pad_hw, sign
 
 
@@ -74,7 +74,7 @@ def binarize_weights(W) -> BinarizedFilter:
         raise ShapeError("cannot binarize an empty filter")
     alpha = float(filter_alphas(W[None])[0])
     return BinarizedFilter(
-        bits=pack(sign(W.reshape(-1))),
+        bits=PackedBits(n=W.size, words=words_from_bits(W.reshape(-1) >= 0)),
         alpha=alpha,
         original_shape=W.shape,
         degenerate=(alpha == 0.0),

@@ -2,10 +2,13 @@
 
 Layout (normative for the model file format): bit = 1 means +1, bit = 0 means
 -1; bits are LSB-first within each little-endian word, so element i lives at
-bit (i mod 64) of word (i // 64). Pad bits past the logical length are always
-zero; ``xnor_dot`` corrects for them with a single subtraction instead of
-masking in the hot loop. The XNOR layer's channel-major words in ``kernels``
-are an in-memory repacking, built per call and never stored.
+bit (i mod 64) of word (i // 64). ``words_from_bits`` is the one packer, and
+every layout it builds has zero pad bits past the logical length. So the pad
+bits of two operands cancel under XOR: popcount(a XOR b) counts the
+mismatched signs, and the +-1 dot of two length-n vectors is
+n - 2*popcount(a XOR b). The XNOR layer's channel-major words in
+``kernels`` pack each pixel's and each filter tap's channel signs by the same
+rule; they are built per call and never stored.
 """
 
 from __future__ import annotations
@@ -42,13 +45,12 @@ def word_count(n: int) -> int:
 
 
 def words_from_bits(bits: np.ndarray) -> np.ndarray:
-    """bits: boolean or 0/1 array, one row per vector -> little-endian uint64
-    words; packed bytes are zero-padded only when a row does not fill them."""
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    pad_bytes = -packed.shape[-1] % (WORD_BITS // 8)
-    if pad_bytes:
-        packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, pad_bytes)])
-    return packed.view("<u8").astype(np.uint64, copy=False)
+    """(..., n) boolean or 0/1 bits, one vector per row -> (..., ceil(n/64))
+    little-endian uint64 words, with zero pad bits."""
+    *lead, n = bits.shape
+    padded = np.zeros((*lead, word_count(n) * WORD_BITS), dtype=bool)
+    padded[..., :n] = bits
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8").astype(np.uint64, copy=False)
 
 
 def pack(v) -> PackedBits:
@@ -82,13 +84,8 @@ def unpack(pb: PackedBits) -> np.ndarray:
 
 
 def xnor_dot(a: PackedBits, b: PackedBits) -> int:
-    """Exact +-1 dot product via XNOR + popcount.
-
-    With canonical zero pad bits on both sides, XNOR turns every pad bit into
-    a 1, so matches = popcount_total - n_pad and the dot is 2*matches - n.
-    """
+    """Exact +-1 dot product via XOR + popcount: popcount(a XOR b) counts the
+    mismatched signs (the zero pad bits cancel), so the dot is n - 2*that."""
     if a.n != b.n:
         raise ValueError(f"length mismatch: {a.n} vs {b.n}")
-    xnor = ~(a.words ^ b.words)
-    matches = int(np.bitwise_count(xnor).sum()) - a.n_pad
-    return 2 * matches - a.n
+    return a.n - 2 * int(np.bitwise_count(a.words ^ b.words).sum())

@@ -99,8 +99,8 @@ def _write_csv(path, fieldnames, rows) -> None:
 # ---------------------------------------------------------------------------
 # architecture config parsing
 
-_ARCH_KEYS = {"out", "k", "stride", "pad", "learned_scale",
-              "binarize_input", "binarize_weights"}
+# no binarization keys: --mode and a conv's position set those flags
+_ARCH_KEYS = {"out", "k", "stride", "pad", "learned_scale"}
 
 
 def parse_arch_text(text: str):
@@ -128,7 +128,7 @@ def parse_arch_text(text: str):
             key, value = token.split("=", 1)
             if key not in _ARCH_KEYS:
                 raise UsageError(f"arch line {lineno}: unknown key {key!r}")
-            if key in ("learned_scale", "binarize_input", "binarize_weights"):
+            if key == "learned_scale":
                 kwargs[key] = value not in ("0", "false", "False")
             elif key == "out":
                 kwargs["out_ch"] = int(value)

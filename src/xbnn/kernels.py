@@ -5,9 +5,11 @@ output), and XNOR convolution (packed XNOR + popcount inner loop).
 Both binary paths read receptive fields once per call from ``tensor.windows``,
 the view the batched ``nn`` layers use, and unpack the filter bank once, so
 the input's cost and the beta map are amortized over all filters. The XNOR
-layer packs signs along channels, ceil(c/64) words per pixel; that in-memory
-(word, fh, fw) layout is not the normative (c, fh, fw) file layout of
-``bitpack``. The one-filter functions call the layer with a one-filter bank.
+layer packs each pixel's and each filter tap's channel signs with
+``bitpack.words_from_bits``, ceil(c/64) words with zero pad bits, as the file
+layout packs a filter; only the (word, fh, fw) order of the words differs
+from the file's (c, fh, fw). The one-filter functions call the layer with a
+one-filter bank.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binarize import BinarizedFilter, compute_beta_map
-from .bitpack import WORD_BITS, bits_to_signs, unpack_bank, word_count
-from .tensor import ConvGeometry, ShapeError, conv2d_reference, windows
+from .bitpack import bits_to_signs, unpack_bank, words_from_bits
+from .tensor import ConvGeometry, ShapeError, conv2d_reference, pad_hw, windows
 
 __all__ = [
     "OpCounters",
@@ -70,20 +72,16 @@ def im2col(inp: np.ndarray, geom: ConvGeometry) -> np.ndarray:
 def sign_patch_matrix(I, geom: ConvGeometry) -> np.ndarray:
     """Channel-packed sign columns of sign(I): (ceil(c/64)*fh*fw, oh*ow) uint64.
 
-    The I >= 0 bits are packed LSB-first along channels, once per pixel, and
-    row (word, dy, dx) reads that word at tap (dy, dx) of every receptive
-    field. Channel pad bits are 1, and so are border pixels (sign(0) = +1);
-    the beta map's attenuated border entries partially compensate.
+    The I >= 0 planes are padded with True (sign(0) = +1 on the border) and
+    each pixel's channel vector is packed by ``words_from_bits``, so channel
+    pad bits are 0; row (word, dy, dx) reads that word at tap (dy, dx) of
+    every receptive field. The beta map's attenuated border entries partially
+    compensate for the +1 border.
     """
     I = np.asarray(I)
-    c, h, w = I.shape
-    p = geom.pad
-    n_words = word_count(c)
-    bits = np.ones((h + 2 * p, w + 2 * p, n_words * WORD_BITS), dtype=bool)
-    bits[p:p + h, p:p + w, :c] = (I >= 0).transpose(1, 2, 0)
-    planes = np.packbits(bits, axis=-1, bitorder="little").view("<u8")  # (H, W, words)
+    planes = words_from_bits(pad_hw(I >= 0, geom.pad, True).transpose(1, 2, 0))  # (H, W, words)
     win = windows(planes.transpose(2, 0, 1)[None], ConvGeometry(geom.filt_hw, geom.stride))[0]
-    return win.reshape(-1, win.shape[3] * win.shape[4]).astype(np.uint64, copy=False)
+    return win.reshape(-1, win.shape[3] * win.shape[4])
 
 
 def conv_binary_weight(I, f: BinarizedFilter, geom: ConvGeometry,
@@ -140,13 +138,13 @@ def conv_xnor_layer(
 ) -> np.ndarray:
     """XNOR convolution of a filter bank: (sign(I) xnor-conv sign(W)) * K * alpha.
 
-    All filters share one set of sign columns and one beta map. The bank is
-    repacked once into the columns' (word, fh, fw) order, pad bits 1, and
-    complemented, so the inner loop is one XOR (the XNOR against the bits)
-    plus popcount, summed over rows; each pad bit adds one match, a constant
-    fh*fw*(64*ceil(c/64) - c) per output. Real multiplications only scale
-    each output by beta and alpha. A degenerate filter's output is zeros,
-    and it is not counted in ``counters``. Returns float32 (K, oh, ow).
+    All filters share one set of sign columns and one beta map. Each filter
+    tap's channel signs are packed once into the columns' (word, fh, fw)
+    order, with zero pad bits like the columns', so the inner loop is one XOR
+    plus popcount, summed over rows: m mismatched signs per output, whose dot
+    is c*fh*fw - 2*m. Real multiplications only scale each output by beta
+    and alpha. A degenerate filter's output is zeros, and it is not counted
+    in ``counters``. Returns float32 (K, oh, ow).
     """
     I = np.asarray(I)
     bits, alphas = _unpack_filters(I, filters, geom)
@@ -155,24 +153,20 @@ def conv_xnor_layer(
     if counters is not None:
         _beta_map_cost(I.shape, geom, counters)
     k, c, fh, fw = bits.shape
-    n_words = word_count(c)
-    fbits = np.ones((fh, fw, k, n_words * WORD_BITS), dtype=np.uint8)
-    fbits[..., :c] = bits.transpose(2, 3, 0, 1)
-    nfilt = ~np.packbits(fbits, axis=-1, bitorder="little").view("<u8")  # (fh, fw, K, words)
+    filt = words_from_bits(bits.transpose(2, 3, 0, 1))  # (fh, fw, K, words)
     rows, positions = cols.shape
-    nfilt = nfilt.transpose(3, 0, 1, 2).reshape(rows, k)
-    n_pad = fh * fw * (n_words * WORD_BITS - c)
+    filt = filt.transpose(3, 0, 1, 2).reshape(rows, k)
 
-    dots = np.empty((k, positions), dtype=np.int32)
+    mismatches = np.empty((k, positions), dtype=np.int32)
     pc = max(1, min(positions, _TILE_WORDS // rows))
     kc = max(1, min(k, _TILE_WORDS // (rows * pc)))
     xor = np.empty((rows, kc, pc), dtype=np.uint64)
     for k0 in range(0, k, kc):
         for p0 in range(0, positions, pc):
             tile = xor[:, :min(kc, k - k0), :min(pc, positions - p0)]
-            np.bitwise_xor(cols[:, None, p0:p0 + pc], nfilt[:, k0:k0 + kc, None], out=tile)
-            dots[k0:k0 + kc, p0:p0 + pc] = np.bitwise_count(tile).sum(axis=0, dtype=np.int32)
-    dots = 2 * dots - (c * fh * fw + 2 * n_pad)
+            np.bitwise_xor(cols[:, None, p0:p0 + pc], filt[:, k0:k0 + kc, None], out=tile)
+            mismatches[k0:k0 + kc, p0:p0 + pc] = np.bitwise_count(tile).sum(axis=0, dtype=np.int32)
+    dots = c * fh * fw - 2 * mismatches
     if counters is not None:
         live = sum(not f.degenerate for f in filters)
         counters.xnor_word += live * rows * positions

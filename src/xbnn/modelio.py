@@ -122,6 +122,8 @@ def _read_conv(fh, flags: int) -> Conv2d:
     out_ch, in_ch, fh_, fw_, stride, pad = struct.unpack("<6H", _read(fh, 12, "conv header"))
     n = in_ch * fh_ * fw_
     packed = bool(flags & _FLAG_PACKED)
+    if packed and not flags & _FLAG_BIN_WEIGHTS:
+        raise ModelIOError("packed conv record without binarized weights")
     learned = bool(flags & _FLAG_LEARNED_SCALE)
     layer = Conv2d(in_ch, out_ch, (fh_, fw_), stride=stride, pad=pad,
                    binarize_weights=bool(flags & _FLAG_BIN_WEIGHTS),
@@ -169,6 +171,11 @@ def _read_batchnorm(fh) -> BatchNorm2d:
     return layer
 
 
+def _check_k_bits(k_bits: int) -> None:
+    if not 1 <= k_bits <= _MAX_K_BITS:
+        raise ModelIOError(f"k_bits={k_bits} does not fit a model file (1 to {_MAX_K_BITS})")
+
+
 def save(net: Network, path, *, pack_binarized: bool = False) -> None:
     """Serialize a network; ``pack_binarized=True`` stores binarized-weight
     convolutions as 1-bit sign words plus per-filter scales. A convolution
@@ -177,10 +184,9 @@ def save(net: Network, path, *, pack_binarized: bool = False) -> None:
     re-saves byte for byte; one with a learned scale keeps its signs as real
     weights and, like any other, is stored packed only with
     ``pack_binarized=True``."""
-    for layer in net.conv_layers():
-        if not 1 <= layer.k_bits <= _MAX_K_BITS:
-            raise ModelIOError(f"k_bits={layer.k_bits} does not fit a model file "
-                               f"(1 to {_MAX_K_BITS})")
+    for layer in net.layers:
+        if isinstance(layer, (Conv2d, BinaryActivation)):
+            _check_k_bits(layer.k_bits)
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -227,6 +233,7 @@ def load(path) -> Network:
                 layers.append(ReLU())
             elif kind == _KIND_BINACTIV:
                 k_bits, = struct.unpack("<B", _read(fh, 1, "binactiv header"))
+                _check_k_bits(k_bits)
                 layers.append(BinaryActivation(k_bits=k_bits))
             elif kind in (_KIND_MAXPOOL, _KIND_AVGPOOL):
                 size, stride = struct.unpack("<HH", _read(fh, 4, "pool header"))

@@ -43,18 +43,22 @@ class TestPack:
 
 
     def test_words_equal_pad_then_pack_reference(self):
-        # the bits padded to whole words first, then packed: the layout the
-        # byte-level padding must reproduce for every length
+        # the bits padded with zeros to whole words, then packed, for every
+        # length, any leading shape and a non-contiguous input (the XNOR
+        # layer packs transposed views)
         rng = np.random.default_rng(3)
         for n in range(1, 300):
-            bits = rng.random((3, n)) < 0.5
-            padded = np.zeros((3, -(-n // WORD_BITS) * WORD_BITS), dtype=np.uint8)
-            padded[:, :n] = bits
+            bits = rng.random((2, 3, n)) < 0.5
+            padded = np.zeros((2, 3, -(-n // WORD_BITS) * WORD_BITS), dtype=np.uint8)
+            padded[..., :n] = bits
             ref = np.packbits(padded, axis=-1, bitorder="little").view("<u8")
             got = words_from_bits(bits)
-            assert got.dtype == np.uint64
+            assert got.dtype == np.uint64 and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
             assert words_from_bits(bits.astype(np.uint8)).tobytes() == ref.tobytes()
+            strided = np.ascontiguousarray(bits.transpose(2, 0, 1)).transpose(1, 2, 0)
+            assert n == 1 or not strided.flags.c_contiguous
+            assert words_from_bits(strided).tobytes() == ref.tobytes()
 
 
 class TestUnpackBank:

@@ -122,7 +122,10 @@ class TestExitCodes:
         assert rc == 1
 
     @pytest.mark.parametrize("line", ["conv out=0 k=3", "conv out=4 k=-3", "maxpool k=-1",
-                                      "conv out=4 k=3 stride=0", "conv out=4 k=3 pad=-1"])
+                                      "conv out=4 k=3 stride=0", "conv out=4 k=3 pad=-1",
+                                      # --mode would overwrite these flags
+                                      "binconv out=8 k=3 pad=1 binarize_input=0",
+                                      "conv out=8 k=3 binarize_weights=1"])
     def test_malformed_arch_value_is_user_error(self, data_dir, tmp_path, line, capsys):
         arch = tmp_path / "bad.cfg"
         arch.write_text(TOY_ARCH.replace("maxpool k=2", line, 1))

@@ -45,13 +45,13 @@ def reference_im2col(inp, geom):
 def reference_sign_columns(I, geom):
     """The XNOR layer's channel-packed sign columns, one Python-int word at a
     time: word j of a pixel holds the I >= 0 bits of channels 64j..64j+63 at
-    bits 0..63, channel pad bits and zero-padded border pixels set; row
-    (word, dy, dx), column (y, x) is that word at tap (dy, dx) of output
-    (y, x)."""
+    bits 0..63, with channel pad bits clear and zero-padded border pixels'
+    channel bits set; row (word, dy, dx), column (y, x) is that word at tap
+    (dy, dx) of output (y, x)."""
     c = I.shape[0]
     n_words = -(-c // 64)
     padded = pad_chw(I, geom.pad)
-    bits = np.ones((n_words * 64, *padded.shape[1:]), dtype=bool)
+    bits = np.zeros((n_words * 64, *padded.shape[1:]), dtype=bool)
     bits[:c] = padded >= 0
     fh, fw = geom.filt_hw
     oh, ow = geom.out_hw(I.shape[1:])
@@ -136,12 +136,12 @@ class TestIm2col:
         oh, ow = geom.out_hw(I.shape[1:])
         assert cols.shape == (1 * 2 * 2, oh * ow)  # one word per tap
         # column 0 covers the padded corner: the three border taps binarize
-        # to +1 and read all ones; tap (1, 1) is pixel (0, 0), whose two
-        # channel bits sit under 62 set pad bits
+        # to +1 and read both channel bits set; tap (1, 1) is pixel (0, 0),
+        # whose word is its two channel bits alone (pad bits are 0)
         corner = [int(w) for w in cols[:, 0]]
-        assert corner[:3] == [2**64 - 1] * 3
+        assert corner[:3] == [0b11] * 3
         pixel = int(I[0, 0, 0] >= 0) | int(I[1, 0, 0] >= 0) << 1
-        assert corner[3] == (2**64 - 1) & ~0b11 | pixel
+        assert corner[3] == pixel
 
 
 class TestConvBinaryWeight:

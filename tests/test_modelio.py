@@ -24,6 +24,7 @@ from xbnn.nn import (
     Conv2d,
     LayerSpec,
     MaxPool2d,
+    Network,
     ReLU,
     apply_mode,
     build_network,
@@ -247,6 +248,29 @@ class TestErrors:
         with pytest.raises(ModelIOError, match="stride"):
             load(path)
 
+    def test_packed_conv_without_binarized_weights_rejected(self, tmp_path):
+        # save packs only binarized convs; clear that flag of a packed record
+        conv = Conv2d(2, 3, (3, 3), pad=1, binarize_weights=True, rng=np.random.default_rng(0))
+        path = tmp_path / "m.xbn"
+        save(Network([conv], (2, 4, 4)), path, pack_binarized=True)
+        raw = bytearray(path.read_bytes())
+        assert raw[21] == 1 | 8  # the conv's flags: binarized weights, packed
+        raw[21] = 8
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ModelIOError, match="packed"):
+            load(path)
+
+    @pytest.mark.parametrize("k_bits", [0, 17, 200])
+    def test_binactiv_k_bits_out_of_range_rejected(self, tmp_path, k_bits):
+        path = tmp_path / "m.xbn"
+        save(Network([BinaryActivation(k_bits=2)], (2, 4, 4)), path)
+        raw = bytearray(path.read_bytes())
+        assert raw[22] == 2  # after the binactiv's kind and flags bytes
+        raw[22] = k_bits
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ModelIOError, match="k_bits"):
+            load(path)
+
 
 class TestKBits:
     @pytest.mark.parametrize("pack", [False, True], ids=["raw", "packed"])
@@ -276,6 +300,13 @@ class TestKBits:
         path = tmp_path / "k.xbn"
         with pytest.raises(ModelIOError, match="k_bits"):
             save(net, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("k_bits", [0, 17, 300])
+    def test_unstorable_binactiv_k_bits_rejected(self, tmp_path, k_bits):
+        path = tmp_path / "k.xbn"
+        with pytest.raises(ModelIOError, match="k_bits"):
+            save(Network([BinaryActivation(k_bits=k_bits)], (2, 4, 4)), path)
         assert not path.exists()
 
 
