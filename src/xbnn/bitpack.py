@@ -34,10 +34,6 @@ class PackedBits:
     def n_words(self) -> int:
         return self.words.size
 
-    @property
-    def n_pad(self) -> int:
-        return self.n_words * WORD_BITS - self.n
-
 
 def word_count(n: int) -> int:
     """Words that hold n bits: ceil(n / 64)."""

@@ -160,7 +160,10 @@ def ingest(path, fmt: str = "IDX", split: str = "train") -> Dataset:
         raise DatasetError(f"unknown split {split!r}")
     if fmt.upper() == "IDX":
         img_name, lbl_name = _IDX_NAMES[split]
-        images = load_idx_images(_find_file(directory, img_name))
+        img_path = _find_file(directory, img_name)
+        images = load_idx_images(img_path)
+        if not len(images):
+            raise DatasetError(f"{img_path}: the {split} split holds no images")
         labels = load_idx_labels(_find_file(directory, lbl_name))
         images = images[:, None, :, :]  # single channel
     elif fmt.upper().startswith("CIFAR"):

@@ -18,6 +18,7 @@ A pool header keeps a stride field, always equal to the window size.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -125,6 +126,12 @@ def _read_conv(fh, flags: int) -> Conv2d:
     if packed and not flags & _FLAG_BIN_WEIGHTS:
         raise ModelIOError("packed conv record without binarized weights")
     learned = bool(flags & _FLAG_LEARNED_SCALE)
+    # check the payload against the file before building a layer of that size
+    payload = out_ch * (filter_bytes(n, packed) + 4 * (learned and not packed))
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if payload > left:
+        raise TruncatedFileError(f"truncated conv payload: its header names {payload} bytes, "
+                                 f"the file has {left} left")
     layer = Conv2d(in_ch, out_ch, (fh_, fw_), stride=stride, pad=pad,
                    binarize_weights=bool(flags & _FLAG_BIN_WEIGHTS),
                    binarize_input=bool(flags & _FLAG_BIN_INPUT),

@@ -18,19 +18,21 @@ only ever touches real parameters. Gradients flow through the binarized
 weights, with the straight-through estimator standing in for the sign
 function's derivative.
 
-In eval, each conv's chunk loop also runs the per-image layers after it, up
-to the next conv, on each chunk's product while it is still in L2, and
-writes only the last (usually pooled) output. The output is bit-identical to
-a layer-by-layer eval, a zero's sign aside, which no later layer turns into
-another value. Every element goes through the same float operations, with
-one reordering: a MaxPool2d runs ahead of the ReLU and BatchNorm2d layers
-directly before it, so they work on the pooled values only. Per channel
-those layers compose to a non-decreasing map, and every float operation in
-them rounds monotonically, so the max of the mapped values is the map of
-the max. A BatchNorm whose scale is not positive (a negative one makes the
-map decreasing, and 0 * inf is NaN) or whose parameters are not finite
-stops the pool, and so does any other layer, such as BinaryActivation,
-whose sign(NaN) = -1 does not pass NaN on (see ``_pool_first``).
+In eval, ``Network.forward`` runs the whole chain over one chunk of
+``_EVAL_IMAGES`` images at a time and writes each chunk's result into the
+output, so only the last layer's output is ever built for the whole batch:
+every layer's eval forward maps each image on its own. The output is
+bit-identical to a layer-by-layer eval, a zero's sign aside, which no later
+layer turns into another value. Every element goes through the same float
+operations, with one reordering: a MaxPool2d runs ahead of the ReLU and
+BatchNorm2d layers directly before it, so they work on the pooled values
+only. Per channel those layers compose to a non-decreasing map, and every
+float operation in them rounds monotonically, so the max of the mapped
+values is the map of the max. A BatchNorm whose scale is not positive (a
+negative one makes the map decreasing, and 0 * inf is NaN) or whose
+parameters are not finite stops the pool, and so does any other layer, such
+as BinaryActivation, whose sign(NaN) = -1 does not pass NaN on (see
+``_pool_first``).
 
 Each binarization rule is written once: the filter scale alpha = mean|W| in
 ``binarize.filter_alphas``, the estimator's gate in ``_sign_derivative``
@@ -46,6 +48,7 @@ real-valued conv outputs instead of sign patterns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -151,15 +154,12 @@ def loss_softmax_nll(logits, labels):
 _CHUNK_BYTES = 1 << 20
 
 
-def _conv_columns(win, wmat, finish=None):
+def _conv_columns(win, wmat):
     """(N, K, oh, ow) = per image wmat (K, C*fh*fw) @ columns (C*fh*fw, oh*ow).
 
     Images go through in chunks of about _CHUNK_BYTES of columns, copied
     into one reused buffer; each image's product is the same BLAS call
-    whatever the chunk size, so chunking does not change the result. With
-    ``finish``, a chunk's product goes to a reused buffer, and
-    ``finish(images, product)``, which may overwrite it, returns the rows
-    ``images`` (a slice of the batch) of the result.
+    whatever the chunk size, so chunking does not change the result.
     """
     n, c, fh, fw, oh, ow = win.shape
     rows, positions = c * fh * fw, oh * ow
@@ -168,19 +168,11 @@ def _conv_columns(win, wmat, finish=None):
     k = wmat.shape[0]
     chunk = max(1, min(n, _CHUNK_BYTES // (rows * positions * dtype.itemsize)))
     buf = np.empty((chunk, c, fh, fw, oh, ow), dtype=dtype)
-    if finish is None:
-        out = np.empty((n, k, oh, ow), dtype=dtype)
-    else:
-        prod = np.empty((chunk, k, oh, ow), dtype=dtype)
-        empty = finish(slice(0, 0), prod[:0])  # the result's shape and dtype, from no images
-        out = np.empty((n, *empty.shape[1:]), dtype=empty.dtype)
+    out = np.empty((n, k, oh, ow), dtype=dtype)
     for i in range(0, n, chunk):
         b = min(chunk, n - i)
         np.copyto(buf[:b], win[i:i + b])
-        target = out[i:i + b] if finish is None else prod[:b]
-        np.matmul(wmat, buf[:b].reshape(b, rows, positions), out=target.reshape(b, k, positions))
-        if finish is not None:
-            out[i:i + b] = finish(slice(i, i + b), target)
+        np.matmul(wmat, buf[:b].reshape(b, rows, positions), out=out[i:i + b].reshape(b, k, positions))
     return out
 
 
@@ -203,13 +195,15 @@ class Layer:
     """A layer's train-mode forward leaves a tape for its next backward;
     backward consumes it, and an eval-mode forward drops it.
 
-    The per-image layers (``_PER_IMAGE``) take ``overwrite_x``, as scipy
-    takes ``overwrite_a``: it lets an eval forward reuse x's memory.
+    Every layer's eval forward maps each image on its own, so a chunk of
+    images gives those images' rows of the whole-batch result. Every
+    forward takes ``overwrite_x``, as scipy takes ``overwrite_a``: it lets an
+    eval forward reuse x's memory, and a layer that cannot use it ignores it.
     """
 
     _tape = None
 
-    def forward(self, x, train: bool):
+    def forward(self, x, train: bool, overwrite_x: bool = False):
         raise NotImplementedError
 
     def backward(self, g):
@@ -241,11 +235,11 @@ class Conv2d(Layer):
     columns. Each image's product is the same BLAS call whatever the chunk,
     so the chunk size never changes a result. Where every product is an
     integer (+-1 inputs times +-1 weights) the output is exact; elsewhere it
-    differs from other summation orders by float rounding only. An eval
-    forward applies K, the learned scale and then ``tail`` (per-image layers,
-    see ``Network._eval_segments``, in ``_pool_first`` order) to each
-    chunk's product, so the whole-batch conv output is never built. A train
-    forward keeps the strided view of the padded input on its tape; the
+    differs from other summation orders by float rounding only. Train and
+    eval run the same forward, which scales the product by K and then by the
+    learned scale; in eval, ``Network.forward`` hands it one image chunk at a
+    time, and it never writes its input, so it ignores ``overwrite_x``. A
+    train forward keeps the strided view of the padded input on its tape; the
     backward copies it into a full-batch column matrix and takes the weight
     gradient from it with one ``tensordot`` gemm. A binarized bank maps that
     gradient back onto the real weights in one broadcast ``weight_gradient``
@@ -302,7 +296,7 @@ class Conv2d(Layer):
         alphas = filter_alphas(W) if self.frozen_alphas is None else self.frozen_alphas
         return alphas[:, None, None, None] * sgn, alphas
 
-    def forward(self, x, train: bool, tail=()):
+    def forward(self, x, train: bool, overwrite_x: bool = False):
         x = np.asarray(x)
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise ShapeError(f"expected (N, {self.in_ch}, H, W), got {x.shape}")
@@ -321,34 +315,16 @@ class Conv2d(Layer):
 
         win = windows(conv_in, self.geom, pad_value)
         del conv_in  # a padded view reads its own copy: free the unpadded input now
-        wmat = wtilde.reshape(self.out_ch, -1)
-        self._tape = None
-        if not train:
-            steps = None
-
-            def finish(images, y):
-                nonlocal steps
-                y = self._rescale(y, None if K is None else K[images])[1]
-                if steps is None:  # the first call, on no images, gives y's dtype on every chunk
-                    steps = _pool_first(tail, y.dtype)
-                return _eval_chain(steps, y)
-
-            return _conv_columns(win, wmat, finish)
-        if tail:
-            raise ValueError("a tail of eval layers runs in eval mode only")
-        pre_scale, out = self._rescale(_conv_columns(win, wmat), K)
-        self._tape = (x.shape, win, wtilde, alphas, K, x if self.binarize_input else None, pre_scale)
-        return out
-
-    def _rescale(self, y, K):
-        """Scale the products y, in place, by the window scales K, then by the
-        learned filter scales; returns (y before the learned scale, or None
-        without one; the scaled y)."""
+        out = _conv_columns(win, wtilde.reshape(self.out_ch, -1))
         if K is not None:
-            y *= K[:, None]
+            out *= K[:, None]
+        pre_scale = None
         if self.learned_scale and self.binarize_weights:
-            return y, y * self.alpha.value[None, :, None, None]
-        return None, y
+            pre_scale, out = out, out * self.alpha.value[None, :, None, None]
+        self._tape = None
+        if train:
+            self._tape = (x.shape, win, wtilde, alphas, K, x if self.binarize_input else None, pre_scale)
+        return out
 
     def backward(self, g):
         x_shape, win, wtilde, alphas, K, x_pre, pre_scale = self._pop_tape()
@@ -578,14 +554,18 @@ class AvgPool2d(_Pool):
         return gx
 
 
-# Layers whose eval forward maps each image on its own, so that running them on
-# a chunk of images gives those images' rows of the whole-batch result.
-_PER_IMAGE = (BatchNorm2d, ReLU, BinaryActivation, MaxPool2d, AvgPool2d)
+# Images an eval forward runs through the whole chain at a time. On the toy
+# xnor net at batch 256 (2-core Intel Xeon, one BLAS thread) 64 ran level
+# with per-conv fused tails over whole batches (p50 19.0 against 19.1 ms);
+# 16 and 32 took 21.1 and 19.7 ms in more, smaller calls, and 128 and 256
+# took 19.3 and 20.2 ms while holding larger activations (peak eval
+# allocation 5.4 MiB at 64 images, 10.3 MiB for the whole batch).
+_EVAL_IMAGES = 64
 
 
-def _pool_first(tail, dtype):
-    """A conv's eval tail, for products of ``dtype``, as layers in the order
-    they run.
+def _pool_first(layers, dtype):
+    """A chain of layers, for an input of ``dtype``, in the order its eval
+    forward runs them.
 
     Each MaxPool2d runs ahead of the ReLU and BatchNorm2d layers directly
     before it, so they work on the pooled planes. Per channel those layers
@@ -596,12 +576,12 @@ def _pool_first(tail, dtype):
     needs f free of 0 * inf and inf - inf, so a BatchNorm whose a is not
     positive and finite in every channel, or whose mean or beta is not
     finite, stops the pool (a is read as its forward will compute it, in the
-    dtype it sees). So does every other layer: BinaryActivation's
-    sign(NaN) = -1 does not pass NaN on, and a pool does not map each value
-    on its own.
+    dtype it sees). So does every other layer: a Conv2d mixes channels,
+    BinaryActivation's sign(NaN) = -1 does not pass NaN on, and a pool does
+    not map each value on its own.
     """
     steps, run = [], 0  # run: how many of the last steps are non-decreasing maps
-    for layer in tail:
+    for layer in layers:
         if isinstance(layer, MaxPool2d):
             steps.insert(len(steps) - run, layer)
             continue
@@ -611,14 +591,16 @@ def _pool_first(tail, dtype):
             rising = bool((a > 0).all()) and all(
                 np.isfinite(v).all() for v in (mean, a, layer.beta.value))
             dtype = np.result_type(dtype, a)  # what the BatchNorm returns
+        elif isinstance(layer, Conv2d):
+            dtype = np.result_type(dtype, *(p.value.dtype for p in layer.params()))
         run = run + 1 if rising else 0
         steps.append(layer)
     return steps
 
 
 def _eval_chain(steps, y):
-    """Run eval layers from _PER_IMAGE over y, a buffer the caller owns, in
-    turn; each may overwrite its input."""
+    """Run eval layers over y, a buffer the caller owns, in turn; each may
+    overwrite its input."""
     for layer in steps:
         y = layer.forward(y, False, overwrite_x=True)
     return y
@@ -713,27 +695,22 @@ class Network:
         if train:
             for layer in self.layers:
                 x = layer.forward(x, True)
-        else:
-            for layer, tail in self._eval_segments():
-                x = layer.forward(x, False, tail) if tail else layer.forward(x, False)
-        return x
-
-    def _eval_segments(self):
-        """The layers as (layer, tail) pairs for an eval forward: each conv
-        takes the per-image layers up to the next conv as its tail, which it
-        runs in ``_pool_first`` order; every other layer runs alone, with an
-        empty tail."""
-        segments = []
-        for layer in self.layers:
-            if segments and isinstance(segments[-1][0], Conv2d) and isinstance(layer, _PER_IMAGE):
-                segments[-1][1].append(layer)
-            else:
-                segments.append((layer, []))
-        return segments
+            return x
+        x = np.asarray(x)
+        if not self.layers:
+            return x
+        first, *rest = _pool_first(self.layers, x.dtype)
+        out = None
+        for i in range(0, max(len(x), 1), _EVAL_IMAGES):  # an empty batch runs one empty chunk
+            y = _eval_chain(rest, first.forward(x[i:i + _EVAL_IMAGES], False, overwrite_x=False))
+            if out is None:
+                out = np.empty((len(x), *y.shape[1:]), dtype=y.dtype)
+            out[i:i + len(y)] = y
+        return out
 
     def logits(self, x, train: bool = False):
         out = self.forward(x, train)
-        return out.reshape(out.shape[0], -1)
+        return out.reshape(out.shape[0], math.prod(out.shape[1:]))  # -1 cannot size an empty batch
 
     def backward(self, g):
         """Raises RuntimeError unless the last forward ran in train mode and

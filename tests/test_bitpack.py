@@ -22,7 +22,7 @@ class TestPack:
         pb = pack(-np.ones(65))
         assert pb.n_words == 2
         assert pb.words.tolist() == [0, 0]
-        assert pb.n_pad == 63
+        assert pb.n == 65  # 63 pad bits, all zero
 
     def test_rejects_non_sign_values(self):
         with pytest.raises(ValueError):
@@ -37,9 +37,8 @@ class TestPack:
     @settings(max_examples=100, deadline=None)
     def test_pad_bits_canonical(self, v):
         pb = pack(v)
-        if pb.n_pad:
-            last = int(pb.words[-1])
-            assert last >> (WORD_BITS - pb.n_pad) == 0
+        used = pb.n - (pb.n_words - 1) * WORD_BITS  # bits of the last word that hold signs
+        assert int(pb.words[-1]) >> used == 0
 
 
     def test_words_equal_pad_then_pack_reference(self):

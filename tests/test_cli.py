@@ -139,6 +139,20 @@ class TestExitCodes:
         bad.write_bytes(b"NOPE" + b"\x00" * 32)
         assert cli_main(["describe", "--model", str(bad)]) == 1
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_splits_are_dataset_errors(self, tmp_path, arch_file, command, capsys):
+        empty = tmp_path / "empty"
+        write_digit_corpus(empty, n_train=0, n_val=0, seed=0)
+        if command == "train":
+            argv = ["train", "--arch", str(arch_file), "--out", str(tmp_path / "run")]
+        else:
+            model = tmp_path / "m.xbn"
+            save(build_network(apply_mode(parse_arch_text(TOY_ARCH), "bwn"), (1, 28, 28)), model)
+            argv = ["eval", "--model", str(model)]
+        capsys.readouterr()
+        assert cli_main(argv + ["--data", str(empty)]) == 1
+        assert "train-images-idx3-ubyte: the train split holds no images" in capsys.readouterr().err
+
     def test_eval_without_train_split(self, data_dir, tmp_path, capsys):
         # eval normalizes with the train split's statistics; without that
         # split it must fail, not fall back to the eval split's own

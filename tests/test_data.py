@@ -117,6 +117,13 @@ class TestDataset:
         val = ingest(tmp_path, "IDX", "val").normalized(train.stats)
         assert val.stats is train.stats
 
+    @pytest.mark.parametrize("split, stem", [("train", "train-images-idx3-ubyte"),
+                                             ("val", "t10k-images-idx3-ubyte")])
+    def test_empty_split_rejected(self, tmp_path, split, stem):
+        write_digit_corpus(tmp_path, n_train=0, n_val=0, seed=6)
+        with pytest.raises(DatasetError, match=f"{stem}: the {split} split holds no images"):
+            ingest(tmp_path, "IDX", split)
+
     def test_subset(self, tmp_path):
         write_digit_corpus(tmp_path, n_train=100, n_val=20, seed=5)
         ds = ingest(tmp_path, "IDX", "train").subset(17)

@@ -1,10 +1,12 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from xbnn.data import Dataset
 from xbnn.modelio import (
+    MAGIC,
     BadMagicError,
     ModelIOError,
     SizeMismatchError,
@@ -259,6 +261,24 @@ class TestErrors:
         path.write_bytes(bytes(raw))
         with pytest.raises(ModelIOError, match="packed"):
             load(path)
+
+    @pytest.mark.parametrize("flags, dims", [(0, (1024, 1024, 3, 3)), (1 | 8, (1024, 1024, 3, 3)),
+                                             (0, (65535,) * 4)], ids=["raw", "packed", "u16-limits"])
+    def test_conv_header_bigger_than_file_rejected_before_allocating(self, tmp_path, flags, dims):
+        # a 34-byte file: the header, then one conv tag and header (out, in,
+        # fh, fw, stride, pad) naming a payload the file does not hold
+        path = tmp_path / "m.xbn"
+        path.write_bytes(MAGIC + struct.pack("<HH3I", 1, 1, 1, 8, 8)
+                         + struct.pack("<BB6H", 1, flags, *dims, 1, 1))
+        assert path.stat().st_size == 34
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFileError, match="conv payload"):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("k_bits", [0, 17, 200])
     def test_binactiv_k_bits_out_of_range_rejected(self, tmp_path, k_bits):

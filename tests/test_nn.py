@@ -583,7 +583,7 @@ def test_network_backward_needs_a_train_forward():
     g = np.ones((2, 3), dtype=np.float32)
     net.logits(x)
     with pytest.raises(RuntimeError, match="without a train-mode forward"):
-        net.backward(g)  # an eval forward, each conv running its tail fused
+        net.backward(g)  # an eval forward, run one image chunk at a time
     net.logits(x, train=True)
     net.logits(x)
     with pytest.raises(RuntimeError, match="without a train-mode forward"):
@@ -884,8 +884,8 @@ def eval_chains(draw):
     stride 1/2), per-image layers, a conv block in either order with maxpool
     or avgpool and relu or binactiv, per-image layers and an fc conv, in any
     mode, k_bits 1 or 2, maybe learned scales, odd extents, float32 or
-    float64; random running statistics; ``chunk`` images per first-conv
-    chunk."""
+    float64; random running statistics; ``chunk`` images per network eval
+    chunk and per first-conv chunk."""
     def run():
         return [LayerSpec(kind=k) for k in draw(st.lists(st.sampled_from(PER_IMAGE_KINDS),
                                                          max_size=2))]
@@ -933,6 +933,7 @@ class TestEvalSegments:
         x = rng.normal(size=(n, *net.input_shape)).astype(dtype)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nn, "_CHUNK_BYTES", chunk_budget(first, *first_conv_input_hw(net), chunk))
+            mp.setattr(nn, "_EVAL_IMAGES", chunk)
             got = net.forward(x, train=False)
             mp.setattr(nn, "_CHUNK_BYTES", 1 << 62)  # the reference convs run in one chunk
             want = x
@@ -941,15 +942,12 @@ class TestEvalSegments:
         assert got.dtype == want.dtype == dtype
         np.testing.assert_array_equal(got, want)
 
-    def test_toy_net_segments(self):
+    def test_toy_net_plan(self):
         # each MaxPool runs first, ahead of the BatchNorm and ReLU before it;
-        # the BatchNorm before the binconv closes the first conv's segment
-        plan = [(type(layer).__name__, [type(step).__name__ for step in
-                                        nn._pool_first(tail, np.float32)])
-                for layer, tail in toy_xnor_net()._eval_segments()]
-        assert plan == [("Conv2d", ["MaxPool2d", "BatchNorm2d", "ReLU", "BatchNorm2d"]),
-                        ("Conv2d", ["MaxPool2d", "ReLU"]),
-                        ("Conv2d", [])]
+        # a conv stops the pool from moving further forward
+        plan = [type(step).__name__ for step in nn._pool_first(toy_xnor_net().layers, np.float32)]
+        assert plan == ["Conv2d", "MaxPool2d", "BatchNorm2d", "ReLU", "BatchNorm2d",
+                        "Conv2d", "MaxPool2d", "ReLU", "Conv2d"]
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -1000,6 +998,17 @@ class TestEvalSegments:
             bn.running_mean = values
         assert nn._pool_first([bn, relu, pool], np.float32) == [bn, pool, relu]
 
+    def test_conv_sets_the_dtype_the_plan_reads(self):
+        # a float64 conv turns float32 input into float64, where this
+        # running variance gives a positive scale; in float32 it overflows,
+        # the scale is 0 and the pool moves ahead of the ReLU only
+        conv, bn, relu, pool = Conv2d(2, 2, (1, 1)), BatchNorm2d(2), ReLU(), MaxPool2d(2)
+        conv.weight.value = conv.weight.value.astype(np.float64)
+        bn.running_var = np.full(2, 1e300)
+        assert nn._pool_first([conv, bn, relu, pool], np.float32) == [conv, pool, bn, relu]
+        with np.errstate(over="ignore"):
+            assert nn._pool_first([bn, relu, pool], np.float32) == [bn, pool, relu]
+
     def test_binary_activation_stops_the_pool(self):
         bn, act, relu, pool = BatchNorm2d(2), BinaryActivation(), ReLU(), MaxPool2d(2)
         assert nn._pool_first([bn, act, relu, pool], np.float32) == [bn, act, pool, relu]
@@ -1039,10 +1048,11 @@ class TestEvalSegments:
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
-    def test_tail_runs_in_eval_only(self):
-        conv = Conv2d(1, 2, (3, 3), rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="eval mode only"):
-            conv.forward(np.zeros((1, 1, 4, 4), dtype=np.float32), True, [ReLU()])
+    def test_empty_batch(self):
+        net, x = toy_xnor_net(), np.zeros((0, 1, 28, 28), dtype=np.float32)
+        out = net.forward(x, train=False)
+        assert out.shape == (0, 10, 1, 1) and out.dtype == np.float32
+        assert net.logits(x).shape == (0, 10)
 
     def test_eval_peak_memory_below_one_full_resolution_activation(self):
         net = toy_xnor_net()
@@ -1054,7 +1064,9 @@ class TestEvalSegments:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 256 * 16 * 28 * 28 * 4  # the first conv's (N, 16, 28, 28) float32 output
+        # half the first conv's (N, 16, 28, 28) float32 output: the forward
+        # holds one image chunk's activations, not the batch's
+        assert peak < 256 * 16 * 28 * 28 * 4 // 2
 
 
 def first_conv_input_hw(net):
