@@ -38,12 +38,12 @@ from .train import PolynomialDecay, StepDecay, evaluate, fit, make_optimizer
 OPS_PER_WORD = 64  # binary ops one CPU word carries per cycle
 
 
-def speedup_model(c: int, n_w: int, ops_per_word: int = OPS_PER_WORD) -> float:
+def speedup_model(c: int, n_w: int) -> float:
     """Theoretical speedup of the XNOR path over full precision for channel
-    count c and filter area n_w; saturates at ops_per_word as c*n_w grows."""
+    count c and filter area n_w; saturates at OPS_PER_WORD as c*n_w grows."""
     if c < 1 or n_w < 1:
         raise ValueError("c and n_w must be >= 1")
-    return ops_per_word * c * n_w / (c * n_w + ops_per_word)
+    return OPS_PER_WORD * c * n_w / (c * n_w + OPS_PER_WORD)
 
 
 class UsageError(Exception):

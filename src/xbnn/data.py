@@ -37,9 +37,7 @@ class Dataset:
 
     images: np.ndarray
     labels: np.ndarray
-    split: str = "train"
     stats: Stats | None = None
-    num_classes: int = 10
 
     def __post_init__(self):
         if self.images.shape[0] != self.labels.shape[0]:
@@ -99,8 +97,8 @@ def load_idx_images(path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).reshape(n, rows, cols)
 
 
-def load_idx_labels(path, num_classes: int = 10) -> np.ndarray:
-    """Big-endian IDX label file (magic 0x00000801) -> int64 (N,)."""
+def load_idx_labels(path) -> np.ndarray:
+    """Big-endian IDX label file (magic 0x00000801) -> int64 (N,) in [0, 10)."""
     path = Path(path)
     with _open_maybe_gzip(path) as fh:
         magic, = struct.unpack(">I", _read_exact(fh, 4, path, "header"))
@@ -111,8 +109,8 @@ def load_idx_labels(path, num_classes: int = 10) -> np.ndarray:
         n, = struct.unpack(">I", _read_exact(fh, 4, path, "count"))
         raw = _read_exact(fh, n, path, "label data")
     labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    if labels.size and labels.max() >= num_classes:
-        raise DatasetError(f"{path}: label {labels.max()} out of range [0, {num_classes})")
+    if labels.size and labels.max() >= 10:
+        raise DatasetError(f"{path}: label {labels.max()} out of range [0, 10)")
     return labels
 
 
@@ -178,9 +176,7 @@ def ingest(path, fmt: str = "IDX", split: str = "train") -> Dataset:
         labels = np.concatenate([p[1] for p in parts])
     else:
         raise DatasetError(f"unknown dataset format {fmt!r}")
-    return Dataset(
-        images=(images.astype(np.float32) / 255.0), labels=labels, split=split
-    )
+    return Dataset(images=(images.astype(np.float32) / 255.0), labels=labels)
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
@@ -224,21 +220,21 @@ def _glyph_bitmaps(scale: int = 3) -> np.ndarray:
     return np.stack(glyphs)  # (10, 21, 15)
 
 
-def make_digit_corpus(count: int, seed: int = 0, *, noise: float = 0.12,
-                      size: int = 28) -> tuple[np.ndarray, np.ndarray]:
+def make_digit_corpus(count: int, seed: int = 0, *,
+                      noise: float = 0.12) -> tuple[np.ndarray, np.ndarray]:
     """Render a balanced, jittered digit classification corpus.
 
     Each sample is a glyph placed at a random offset with random intensity,
-    plus Gaussian pixel noise. Returns (uint8 images (count, size, size),
-    uint8 labels). Fully determined by the seed.
+    plus Gaussian pixel noise. Returns (uint8 images (count, 28, 28), uint8
+    labels). Fully determined by the seed.
     """
     rng = np.random.default_rng(seed)
     glyphs = _glyph_bitmaps()
     gh, gw = glyphs.shape[1:]
     labels = rng.integers(0, 10, size=count).astype(np.uint8)
-    images = np.zeros((count, size, size), dtype=np.float32)
-    ys = rng.integers(0, size - gh + 1, size=count)
-    xs = rng.integers(0, size - gw + 1, size=count)
+    images = np.zeros((count, 28, 28), dtype=np.float32)
+    ys = rng.integers(0, 28 - gh + 1, size=count)
+    xs = rng.integers(0, 28 - gw + 1, size=count)
     intensity = rng.uniform(0.6, 1.0, size=count)
     for i in range(count):
         images[i, ys[i]:ys[i] + gh, xs[i]:xs[i] + gw] = glyphs[labels[i]] * intensity[i]

@@ -228,6 +228,8 @@ def load(path) -> Network:
         version, layer_count = struct.unpack("<HH", _read(fh, 4, "version header"))
         if version != VERSION:
             raise UnsupportedVersionError(f"unsupported version {version}, expected {VERSION}")
+        if not layer_count:
+            raise ModelIOError("the file holds no layers; a network needs at least one")
         input_shape = struct.unpack("<3I", _read(fh, 12, "input shape"))
         layers: list[Layer] = []
         for i in range(layer_count):

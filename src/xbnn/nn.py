@@ -379,10 +379,11 @@ class BatchNorm2d(Layer):
     every gradient are bit-equal to it.
     """
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1):
+    momentum = 0.1
+
+    def __init__(self, channels, eps=1e-5):
         self.channels = channels
         self.eps = eps
-        self.momentum = momentum
         self.gamma = Param("gamma", np.ones(channels, dtype=np.float32))
         self.beta = Param("beta", np.zeros(channels, dtype=np.float32))
         self.running_mean = np.zeros(channels, dtype=np.float32)
@@ -679,9 +680,12 @@ def conv_block(order: str, out_ch: int, k: int = 3, pad: int = 1, pool: int = 2)
 
 
 class Network:
-    """A straight chain of layers plus the input shape it was built for."""
+    """A straight chain of at least one layer plus the input shape it was
+    built for."""
 
     def __init__(self, layers: list[Layer], input_shape):
+        if not layers:
+            raise ShapeError("a network needs at least one layer")
         self.layers = layers
         self.input_shape = tuple(input_shape)
 
@@ -697,8 +701,6 @@ class Network:
                 x = layer.forward(x, True)
             return x
         x = np.asarray(x)
-        if not self.layers:
-            return x
         first, *rest = _pool_first(self.layers, x.dtype)
         out = None
         for i in range(0, max(len(x), 1), _EVAL_IMAGES):  # an empty batch runs one empty chunk

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -18,11 +17,10 @@ from .nn import Network, Param, loss_softmax_nll
 
 
 class SGDMomentum:
-    """SGD with classical momentum (default 0.9)."""
+    """SGD with classical momentum 0.9."""
 
-    def __init__(self, lr: float = 0.01, momentum: float = 0.9):
+    def __init__(self, lr: float = 0.01):
         self.lr = lr
-        self.momentum = momentum
         self._velocity: dict[int, np.ndarray] = {}
 
     def step(self, params: list[Param]) -> None:
@@ -32,25 +30,23 @@ class SGDMomentum:
             v = self._velocity.get(i)
             if v is None or v.shape != p.value.shape:
                 v = np.zeros_like(p.value)
-            v = self.momentum * v - self.lr * p.grad
+            v = 0.9 * v - self.lr * p.grad
             self._velocity[i] = v
             p.value += v
 
 
 class Adam:
-    def __init__(self, lr: float = 0.001, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    """Adam with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8."""
+
+    def __init__(self, lr: float = 0.001):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}
 
     def step(self, params: list[Param]) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         for i, p in enumerate(params):
             if p.grad is None:
                 continue
@@ -65,7 +61,7 @@ class Adam:
             self._m[i], self._v[i] = m, v
             mhat = m / (1 - b1**self.t)
             vhat = v / (1 - b2**self.t)
-            p.value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.value -= self.lr * mhat / (np.sqrt(vhat) + 1e-8)
 
 
 @dataclass
@@ -131,21 +127,21 @@ def train_step(net: Network, batch: tuple[np.ndarray, np.ndarray], opt,
     return loss, {"top1": top1}
 
 
-def evaluate(net: Network, ds: Dataset, k: int = 5, batch_size: int = 256):
-    """Deterministic (top1, topk) over a split; ties break toward the lower
-    class index via a stable sort."""
+def evaluate(net: Network, ds: Dataset):
+    """Deterministic (top1, top5, mean loss) over a split, in batches of 256;
+    ties break toward the lower class index via a stable sort."""
     hits1 = 0
     hitsk = 0
     losses = []
-    for start in range(0, ds.n, batch_size):
-        images = ds.images[start:start + batch_size]
-        labels = ds.labels[start:start + batch_size]
+    for start in range(0, ds.n, 256):
+        images = ds.images[start:start + 256]
+        labels = ds.labels[start:start + 256]
         logits = net.logits(images, train=False)
         loss, _ = loss_softmax_nll(logits, labels)
         losses.append(loss * len(labels))
         order = np.argsort(-logits, axis=1, kind="stable")
         hits1 += int((order[:, 0] == labels).sum())
-        hitsk += int((order[:, :k] == labels[:, None]).any(axis=1).sum())
+        hitsk += int((order[:, :5] == labels[:, None]).any(axis=1).sum())
     top1 = hits1 / ds.n
     topk = hitsk / ds.n
     return top1, topk, float(np.sum(losses) / ds.n)
@@ -169,13 +165,12 @@ class History:
 
 def fit(net: Network, train_ds: Dataset, val_ds: Dataset | None, epochs: int, opt,
         sched=None, *, batch_size: int = 64, seed: int = 0, clamp: bool = True,
-        checkpoint_dir=None, topk: int = 5, verbose: bool = False) -> History:
+        verbose: bool = False) -> History:
     """Run the full training loop; returns per-epoch history.
 
     Weight binarization is recomputed inside every forward pass, before the
     convolution consumes the weights; the optimizer then updates the real
-    weights only. Checkpoints (when requested) go through the model file
-    round trip.
+    weights only.
     """
     history = History()
     rng = np.random.default_rng(seed)
@@ -196,14 +191,9 @@ def fit(net: Network, train_ds: Dataset, val_ds: Dataset | None, epochs: int, op
                        loss=float(np.sum(losses) / train_ds.n),
                        top1=float(np.sum(accs) / train_ds.n), topk="")
         if val_ds is not None:
-            top1, topk_acc, vloss = evaluate(net, val_ds, k=topk)
+            top1, topk_acc, vloss = evaluate(net, val_ds)
             history.append(epoch=epoch, split="val", loss=vloss, top1=top1, topk=topk_acc)
             if verbose:
                 print(f"epoch {epoch}: train_loss={history.rows[-2]['loss']:.4f} "
                       f"val_top1={top1:.4f}")
-        if checkpoint_dir is not None:
-            from .modelio import save
-
-            path = Path(checkpoint_dir) / f"checkpoint_epoch{epoch}.xbn"
-            save(net, path)
     return history

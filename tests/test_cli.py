@@ -1,4 +1,5 @@
 import shutil
+import struct
 import time
 
 import numpy as np
@@ -14,7 +15,7 @@ from xbnn.cli import (
     speedup_model,
 )
 from xbnn.data import ingest, write_digit_corpus
-from xbnn.modelio import save
+from xbnn.modelio import MAGIC, VERSION, save
 from xbnn.nn import apply_mode, build_network
 
 TOY_ARCH = """\
@@ -138,6 +139,21 @@ class TestExitCodes:
         bad = tmp_path / "bad.xbn"
         bad.write_bytes(b"NOPE" + b"\x00" * 32)
         assert cli_main(["describe", "--model", str(bad)]) == 1
+
+    def test_arch_without_layers_writes_nothing(self, data_dir, tmp_path, capsys):
+        arch = tmp_path / "loss_only.cfg"
+        arch.write_text("softmax-nll\n")
+        out = tmp_path / "run"
+        rc = cli_main(["train", "--arch", str(arch), "--data", str(data_dir), "--out", str(out)])
+        assert rc == 1
+        assert "at least one layer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_model_without_layers(self, data_dir, tmp_path, capsys):
+        model = tmp_path / "empty.xbn"
+        model.write_bytes(MAGIC + struct.pack("<HH3I", VERSION, 0, 1, 28, 28))
+        assert cli_main(["eval", "--model", str(model), "--data", str(data_dir)]) == 1
+        assert "no layers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_empty_splits_are_dataset_errors(self, tmp_path, arch_file, command, capsys):

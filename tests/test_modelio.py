@@ -11,6 +11,7 @@ from xbnn.modelio import (
     ModelIOError,
     SizeMismatchError,
     TruncatedFileError,
+    VERSION,
     UnsupportedVersionError,
     describe,
     filter_bytes,
@@ -225,6 +226,13 @@ class TestErrors:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(TruncatedFileError):
+            load(path)
+
+    def test_file_without_layers_rejected(self, tmp_path):
+        path = tmp_path / "m.xbn"
+        path.write_bytes(MAGIC + struct.pack("<HH3I", VERSION, 0, 1, 28, 28))
+        assert path.stat().st_size == 20
+        with pytest.raises(ModelIOError, match="no layers"):
             load(path)
 
     def test_trailing_garbage(self, tmp_path):

@@ -1134,6 +1134,7 @@ class TestSpecsAndModes:
     @settings(max_examples=100, deadline=None)
     @given(spec_lists())
     def test_build_flags_match_reference(self, specs):
+        assume(specs)  # a network holds at least one layer (test_network_needs_a_layer)
         before = [replace(s) for s in specs]
         net = build_network(specs, (2, 3, 3), seed=0)
         got = [(l.binarize_weights, l.binarize_input) for l in net.conv_layers()]
@@ -1209,6 +1210,12 @@ class TestSpecsAndModes:
                 [LayerSpec(kind="softmax-nll"), LayerSpec(kind="conv", out_ch=2, k=0)],
                 (1, 3, 3),
             )
+
+    def test_network_needs_a_layer(self):
+        with pytest.raises(ShapeError, match="at least one layer"):
+            build_network([LayerSpec(kind="softmax-nll")], (1, 3, 3))
+        with pytest.raises(ShapeError, match="at least one layer"):
+            Network([], (1, 3, 3))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

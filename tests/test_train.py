@@ -21,7 +21,7 @@ def separable_dataset(n=120, seed=0):
     labels = rng.integers(0, 2, size=n).astype(np.int64)
     mu = np.where(labels[:, None, None, None] == 0, 0.8, -0.8)
     images = (mu + 0.1 * rng.normal(size=(n, 1, 4, 4))).astype(np.float32)
-    return Dataset(images=images, labels=labels, num_classes=2)
+    return Dataset(images=images, labels=labels)
 
 
 def tiny_bwn_net(seed=0):
@@ -43,13 +43,13 @@ class TestOptimizers:
 
     def test_sgd_momentum_accumulates(self):
         p = Param("w", np.zeros(1, dtype=np.float32))
-        opt = SGDMomentum(lr=1.0, momentum=0.5)
+        opt = SGDMomentum(lr=1.0)
         p.grad = np.ones(1, dtype=np.float32)
         opt.step([p])
         first = p.value.copy()
         p.grad = np.zeros(1, dtype=np.float32)
         opt.step([p])  # momentum keeps moving
-        assert p.value[0] == pytest.approx(first[0] - 0.5)
+        assert p.value[0] == pytest.approx(first[0] - 0.9)
 
     def test_adam_decreases_quadratic(self):
         p = Param("w", np.array([2.0], dtype=np.float64))
@@ -149,7 +149,7 @@ class TestEvaluate:
         opt = SGDMomentum(lr=0.05)
         for _ in range(200):
             train_step(net, (ds.images, ds.labels), opt)
-        top1, topk, _ = evaluate(net, ds, k=2)
+        top1, topk, _ = evaluate(net, ds)
         assert top1 == 1.0
         assert topk == 1.0
 
@@ -162,7 +162,7 @@ class TestEvaluate:
         labels = np.repeat(np.arange(10), 5).astype(np.int64)
         images = np.zeros((50, 1, 2, 2), dtype=np.float32)
         ds = Dataset(images=images, labels=labels)
-        top1, top5, _ = evaluate(Stub(), ds, k=5)
+        top1, top5, _ = evaluate(Stub(), ds)
         assert top1 == pytest.approx(0.1)
         assert top5 == pytest.approx(0.5)
 
@@ -175,7 +175,7 @@ class TestEvaluate:
 
         ds = Dataset(images=np.zeros((30, 1, 2, 2), dtype=np.float32),
                      labels=rng.integers(0, 10, 30).astype(np.int64))
-        top1, top5, _ = evaluate(Stub(), ds, k=5)
+        top1, top5, _ = evaluate(Stub(), ds)
         assert top5 >= top1
 
 
@@ -210,15 +210,3 @@ class TestFit:
         assert lines[0] == "epoch,split,loss,top1,topk,seed"
         assert len(lines) == 5
         assert all(line.endswith(",1") for line in lines[1:])
-
-    def test_checkpoint_roundtrip_same_accuracy(self, tmp_path):
-        from xbnn.modelio import load
-
-        net = tiny_bwn_net(seed=10)
-        ds = separable_dataset(n=48, seed=10)
-        fit(net, ds, ds, 2, SGDMomentum(lr=0.05), batch_size=16, seed=2,
-            checkpoint_dir=tmp_path)
-        restored = load(tmp_path / "checkpoint_epoch1.xbn")
-        a = evaluate(net, ds, k=2)
-        b = evaluate(restored, ds, k=2)
-        assert a == b
