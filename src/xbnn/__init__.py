@@ -12,7 +12,6 @@ from .binarize import (
     BetaMap,
     BinarizedFilter,
     binarize_weights,
-    binary_dot_factors,
     compute_beta_map,
     quantize_kbit,
 )
@@ -21,9 +20,7 @@ from .kernels import (
     OpCounters,
     conv_binary_weight,
     conv_binary_weight_layer,
-    conv_xnor,
     conv_xnor_layer,
-    count_ops,
 )
 from .tensor import ConvGeometry, ShapeError, channel_abs_mean, conv2d_reference, sign
 
@@ -37,15 +34,12 @@ __all__ = [
     "PackedBits",
     "ShapeError",
     "binarize_weights",
-    "binary_dot_factors",
     "channel_abs_mean",
     "compute_beta_map",
     "conv2d_reference",
     "conv_binary_weight",
     "conv_binary_weight_layer",
-    "conv_xnor",
     "conv_xnor_layer",
-    "count_ops",
     "pack",
     "quantize_kbit",
     "sign",

@@ -16,27 +16,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitpack import PackedBits, pack, unpack, words_from_bits
-from .tensor import ConvGeometry, ShapeError, channel_abs_mean, pad_hw, sign
+from .bitpack import PackedBits, unpack, words_from_bits
+from .tensor import ConvGeometry, ShapeError, channel_abs_mean, pad_hw
 
 
 @dataclass(frozen=True)
 class BinarizedFilter:
-    """Packed sign pattern plus positive scale for one weight filter.
-
-    ``degenerate`` marks the all-zero filter, whose optimal scale would be 0
-    and therefore falls outside alpha > 0; kernels treat it as an all-zero
-    filter instead of inventing a floor constant.
-    """
+    """Packed sign pattern plus positive scale for one weight filter."""
 
     bits: PackedBits
     alpha: float
     original_shape: tuple
-    degenerate: bool = False
 
     @property
     def n(self) -> int:
         return self.bits.n
+
+    @property
+    def degenerate(self) -> bool:
+        """The all-zero filter, whose optimal scale is 0 and so falls outside
+        alpha > 0; kernels give it an all-zero output instead of inventing a
+        floor constant."""
+        return self.alpha == 0.0
 
     def dense(self) -> np.ndarray:
         """Reconstruct alpha * sign(W) as a float32 tensor."""
@@ -48,16 +49,6 @@ class BetaMap:
     """Per-output-location input scale factors, one beta per window."""
 
     K: np.ndarray  # (oh, ow), entries >= 0
-
-
-@dataclass(frozen=True)
-class BinaryDotFactors:
-    beta: float
-    H: PackedBits
-    alpha: float
-    B: PackedBits
-    gamma: float
-    gamma_exact: float  # mean(|X_i * W_i|); gamma = beta*alpha only approximates it
 
 
 def filter_alphas(bank) -> np.ndarray:
@@ -77,27 +68,6 @@ def binarize_weights(W) -> BinarizedFilter:
         bits=PackedBits(n=W.size, words=words_from_bits(W.reshape(-1) >= 0)),
         alpha=alpha,
         original_shape=W.shape,
-        degenerate=(alpha == 0.0),
-    )
-
-
-def binary_dot_factors(X, W) -> BinaryDotFactors:
-    """Factor a real dot product into sign vectors and scalar scales."""
-    X = np.asarray(X, dtype=np.float64).reshape(-1)
-    W = np.asarray(W, dtype=np.float64).reshape(-1)
-    if X.size != W.size:
-        raise ShapeError(f"length mismatch: {X.size} vs {W.size}")
-    if X.size == 0:
-        raise ShapeError("need n >= 1")
-    beta = float(np.abs(X).mean())
-    alpha = float(filter_alphas(W[None])[0])
-    return BinaryDotFactors(
-        beta=beta,
-        H=pack(sign(X)),
-        alpha=alpha,
-        B=pack(sign(W)),
-        gamma=beta * alpha,
-        gamma_exact=float(np.abs(X * W).mean()),
     )
 
 

@@ -389,7 +389,7 @@ def _ablation_arch(study: str, variant: str):
             LayerSpec(kind="conv", out_ch=12, k=3, pad=1),
             LayerSpec(kind="maxpool", k=2),
         ]
-        specs += conv_block(variant, out_ch=24, k=3, pad=1, pool=2)
+        specs += conv_block(variant, out_ch=24)
         specs += [LayerSpec(kind="conv", out_ch=10)]
         return apply_mode(specs, "xnor"), "xnor"
     raise UsageError(f"unknown study {study!r}")

@@ -10,7 +10,9 @@ available; the formats are identical.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -64,51 +66,49 @@ class Dataset:
         return replace(self, images=images.astype(np.float32), stats=stats)
 
 
-def _open_maybe_gzip(path: Path):
-    with open(path, "rb") as fh:
-        head = fh.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+def _file_bytes(path: Path) -> bytes:
+    """A file's bytes, gunzipped if it starts with the gzip magic."""
+    raw = path.read_bytes()
+    if raw[:2] != b"\x1f\x8b":
+        return raw
+    try:
+        return gzip.decompress(raw)
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise DatasetError(f"{path}: corrupt gzip data: {exc}") from exc
 
 
-def _read_exact(fh, count: int, path, what: str) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise DatasetError(
-            f"{path}: truncated {what}: expected {count} bytes, got {len(buf)}"
-        )
-    return buf
+def _read_idx(path: Path, magic: int, n_dims: int, what: str) -> tuple[list[int], memoryview]:
+    """An IDX file's dims and the bytes after its header, after checking its
+    magic and that it holds the prod(dims) bytes the header names. The check
+    runs on the bytes the file holds, so a header that names more cannot ask
+    for a huge allocation."""
+    buf = _file_bytes(path)
+    head = 4 * (1 + n_dims)
+    if len(buf) < head:
+        raise DatasetError(f"{path}: truncated header: expected {head} bytes, got {len(buf)}")
+    found, *dims = struct.unpack_from(f">{1 + n_dims}I", buf)
+    if found != magic:
+        raise DatasetError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+    count, data = math.prod(dims), memoryview(buf)[head:]
+    if len(data) < count:
+        raise DatasetError(f"{path}: truncated {what}: expected {count} bytes, got {len(data)}")
+    return dims, data
 
 
 def load_idx_images(path) -> np.ndarray:
     """Big-endian IDX image file (magic 0x00000803) -> uint8 (N, H, W)."""
     path = Path(path)
-    with _open_maybe_gzip(path) as fh:
-        magic, = struct.unpack(">I", _read_exact(fh, 4, path, "header"))
-        if magic != IDX_MAGIC_IMAGES:
-            raise DatasetError(
-                f"{path}: bad magic 0x{magic:08x}, expected 0x{IDX_MAGIC_IMAGES:08x}"
-            )
-        n, rows, cols = struct.unpack(">III", _read_exact(fh, 12, path, "dims"))
-        raw = _read_exact(fh, n * rows * cols, path, "pixel data")
-        if fh.read(1):
-            raise DatasetError(f"{path}: trailing bytes after {n} images")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(n, rows, cols)
+    (n, rows, cols), data = _read_idx(path, IDX_MAGIC_IMAGES, 3, "pixel data")
+    if len(data) > n * rows * cols:
+        raise DatasetError(f"{path}: trailing bytes after {n} images")
+    return np.frombuffer(data, dtype=np.uint8).reshape(n, rows, cols)
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Big-endian IDX label file (magic 0x00000801) -> int64 (N,) in [0, 10)."""
     path = Path(path)
-    with _open_maybe_gzip(path) as fh:
-        magic, = struct.unpack(">I", _read_exact(fh, 4, path, "header"))
-        if magic != IDX_MAGIC_LABELS:
-            raise DatasetError(
-                f"{path}: bad magic 0x{magic:08x}, expected 0x{IDX_MAGIC_LABELS:08x}"
-            )
-        n, = struct.unpack(">I", _read_exact(fh, 4, path, "count"))
-        raw = _read_exact(fh, n, path, "label data")
-    labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    (n,), data = _read_idx(path, IDX_MAGIC_LABELS, 1, "label data")
+    labels = np.frombuffer(data[:n], dtype=np.uint8).astype(np.int64)
     if labels.size and labels.max() >= 10:
         raise DatasetError(f"{path}: label {labels.max()} out of range [0, 10)")
     return labels
@@ -117,8 +117,7 @@ def load_idx_labels(path) -> np.ndarray:
 def load_cifar_batch(path) -> tuple[np.ndarray, np.ndarray]:
     """CIFAR-10 binary batch: 3073-byte records -> (uint8 (N,3,32,32), labels)."""
     path = Path(path)
-    with _open_maybe_gzip(path) as fh:
-        raw = fh.read()
+    raw = _file_bytes(path)
     if not raw or len(raw) % CIFAR_RECORD_BYTES:
         raise DatasetError(
             f"{path}: size {len(raw)} is not a multiple of {CIFAR_RECORD_BYTES}-byte records"

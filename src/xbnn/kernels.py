@@ -8,8 +8,8 @@ the input's cost and the beta map are amortized over all filters. The XNOR
 layer packs each pixel's and each filter tap's channel signs with
 ``bitpack.words_from_bits``, ceil(c/64) words with zero pad bits, as the file
 layout packs a filter; only the (word, fh, fw) order of the words differs
-from the file's (c, fh, fw). The one-filter functions call the layer with a
-one-filter bank.
+from the file's (c, fh, fw). The one-filter BWN function calls the layer
+with a one-filter bank.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ __all__ = [
     "conv2d_reference",
     "conv_binary_weight",
     "conv_binary_weight_layer",
-    "conv_xnor",
     "conv_xnor_layer",
-    "count_ops",
     "im2col",
     "sign_patch_matrix",
 ]
@@ -48,7 +46,7 @@ class OpCounters:
 def _unpack_filters(I: np.ndarray, filters: list[BinarizedFilter], geom: ConvGeometry):
     """Check every filter against the input's channels and the geometry's
     extent; return the bank's (K, c, fh, fw) 0/1 sign bits, from one unpack,
-    and its float32 scales, 0 for a degenerate filter."""
+    and its float32 scales."""
     if I.ndim != 3:
         raise ShapeError(f"input must be (c, h, w), got {I.shape}")
     shape = (I.shape[0], *geom.filt_hw)
@@ -56,7 +54,7 @@ def _unpack_filters(I: np.ndarray, filters: list[BinarizedFilter], geom: ConvGeo
     if any(tuple(f.original_shape) != shape or f.n != n for f in filters):
         raise ShapeError(f"filters do not all match input {I.shape} and extent {geom.filt_hw}")
     bits = unpack_bank(np.array([f.bits.words for f in filters]), n)
-    alphas = np.array([0.0 if f.degenerate else f.alpha for f in filters], dtype=np.float32)
+    alphas = np.array([f.alpha for f in filters], dtype=np.float32)
     return bits.reshape(len(filters), *shape), alphas
 
 
@@ -122,12 +120,6 @@ def _beta_map_cost(I_shape, geom: ConvGeometry, counters: OpCounters) -> None:
     counters.real_add += c * h * w + fh * fw * oh * ow
 
 
-def conv_xnor(I, f: BinarizedFilter, geom: ConvGeometry,
-              counters: OpCounters | None = None) -> np.ndarray:
-    """XNOR convolution of one filter: (oh, ow); see conv_xnor_layer."""
-    return conv_xnor_layer(I, [f], geom, counters)[0]
-
-
 # cap on the (rows, filters, positions) XOR tile, in words (512 KiB) while
 # rows <= 2^16; timed against 2^15..2^18 at c=16..512 with 9x9 to 56x56 outputs
 _TILE_WORDS = 1 << 16
@@ -175,20 +167,3 @@ def conv_xnor_layer(
     scale = beta_map.K[None, :, :] * alphas[:, None, None]
     return dots.reshape(k, *beta_map.K.shape).astype(np.float32) * scale
 
-
-def count_ops(c: int, n_w: int, n_i: int, mode: str = "xnor") -> tuple[int, int]:
-    """Abstract op counts for one filter: (binary_ops, real_ops).
-
-    The XNOR path does c*N_W bit-ops per output location and one real op per
-    location; the full-precision path does everything in real arithmetic.
-    The XNOR layer packs channels, so its word-level counters take
-    N_W*ceil(c / 64) words per location.
-    """
-    if min(c, n_w, n_i) < 1:
-        raise ValueError("c, n_w, n_i must all be positive")
-    total = c * n_w * n_i
-    if mode == "xnor":
-        return total, n_i
-    if mode == "full":
-        return 0, total
-    raise ValueError(f"unknown mode {mode!r}")

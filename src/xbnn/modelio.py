@@ -121,6 +121,9 @@ def _write_conv(fh, layer: Conv2d, pack_binarized: bool) -> None:
 
 def _read_conv(fh, flags: int) -> Conv2d:
     out_ch, in_ch, fh_, fw_, stride, pad = struct.unpack("<6H", _read(fh, 12, "conv header"))
+    if min(out_ch, in_ch, fh_, fw_, stride) < 1:
+        raise ModelIOError(f"conv header out {out_ch}, in {in_ch}, filter {fh_}x{fw_}, "
+                           f"stride {stride}: each must be at least 1")
     n = in_ch * fh_ * fw_
     packed = bool(flags & _FLAG_PACKED)
     if packed and not flags & _FLAG_BIN_WEIGHTS:

@@ -667,16 +667,16 @@ def apply_mode(specs: list[LayerSpec], mode: str) -> list[LayerSpec]:
     return out
 
 
-def conv_block(order: str, out_ch: int, k: int = 3, pad: int = 1, pool: int = 2) -> list[LayerSpec]:
-    """One convolution block in either ordering (the conv picks up its
-    binarization flags from apply_mode)."""
+def conv_block(order: str, out_ch: int) -> list[LayerSpec]:
+    """One convolution block in either ordering: a 3x3 pad-1 conv and a 2x2
+    max-pool (the conv picks up its binarization flags from apply_mode)."""
     if order not in BLOCK_ORDERS:
         raise ValueError(f"block order must be one of {BLOCK_ORDERS}")
-    conv = LayerSpec(kind="binconv", out_ch=out_ch, k=k, pad=pad)
+    conv = LayerSpec(kind="binconv", out_ch=out_ch, k=3, pad=1)
     if order == "B-A-C-P":
-        return [LayerSpec(kind="batchnorm"), conv, LayerSpec(kind="maxpool", k=pool)]
+        return [LayerSpec(kind="batchnorm"), conv, LayerSpec(kind="maxpool", k=2)]
     return [conv, LayerSpec(kind="batchnorm"), LayerSpec(kind="binactiv"),
-            LayerSpec(kind="maxpool", k=pool)]
+            LayerSpec(kind="maxpool", k=2)]
 
 
 class Network:

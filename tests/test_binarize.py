@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from xbnn.binarize import (
     binarize_weights,
-    binary_dot_factors,
     compute_beta_map,
     filter_alphas,
     quantize_kbit,
     window_mean,
 )
 from xbnn.bitpack import unpack
-from xbnn.tensor import ConvGeometry, channel_abs_mean, sign
+from xbnn.tensor import ConvGeometry, channel_abs_mean
 
 
 def residual(W, B, alpha):
@@ -85,31 +84,6 @@ class TestFilterAlphas:
         np.testing.assert_array_equal(alphas, np.abs(bank).mean(axis=(1, 2, 3)))
         for w, alpha in zip(bank, alphas):
             assert binarize_weights(w).alpha == float(np.abs(w.reshape(-1)).mean()) == alpha
-
-
-class TestBinaryDotFactors:
-    def test_hand_example(self):
-        r = binary_dot_factors([1.0, -2.0], [2.0, 1.0])
-        assert r.beta == pytest.approx(1.5)
-        assert r.alpha == pytest.approx(1.5)
-        assert r.gamma == pytest.approx(2.25)
-        assert r.gamma_exact == pytest.approx(2.0)  # the product form overestimates here
-
-    def test_all_ones_exact(self):
-        r = binary_dot_factors(np.ones(5), np.ones(5))
-        assert r.gamma == pytest.approx(1.0)
-        assert r.gamma_exact == pytest.approx(1.0)
-
-    def test_n1_exactness(self):
-        r = binary_dot_factors([-1.2], [3.0])
-        assert r.gamma == pytest.approx(abs(-1.2 * 3.0))
-        assert r.gamma_exact == pytest.approx(r.gamma)
-
-    def test_sign_product_identity(self):
-        rng = np.random.default_rng(8)
-        X = rng.normal(size=64) + 0.01  # keep away from zero
-        W = rng.normal(size=64) - 0.01
-        np.testing.assert_array_equal(sign(X) * sign(W), sign(X * W))
 
 
 def oracle_window_mean(planes, geom):

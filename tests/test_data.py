@@ -1,4 +1,6 @@
+import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +56,49 @@ class TestIdxFormat:
         path.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes([3, 11]))
         with pytest.raises(DatasetError, match="out of range"):
             load_idx_labels(path)
+
+    def test_gzip_files_load(self, tmp_path):
+        rng = np.random.default_rng(3)
+        images = rng.integers(0, 256, size=(6, 5, 4)).astype(np.uint8)
+        labels = np.array([3, 1, 4, 1, 5, 9], dtype=np.uint8)
+        write_idx_images(tmp_path / "imgs", images)
+        write_idx_labels(tmp_path / "lbls", labels)
+        for name in ("imgs", "lbls"):
+            (tmp_path / f"{name}.gz").write_bytes(gzip.compress((tmp_path / name).read_bytes()))
+        np.testing.assert_array_equal(load_idx_images(tmp_path / "imgs.gz"), images)
+        np.testing.assert_array_equal(load_idx_labels(tmp_path / "lbls.gz"), labels)
+
+    @pytest.mark.parametrize("at, bad", [(-9, b""), (-8, b"\x00" * 8), (10, b"\xff" * 8)],
+                             ids=["truncated", "crc", "deflate"])
+    def test_corrupt_gzip_rejected(self, tmp_path, at, bad):
+        # the stream cut short, the trailer's CRC and size zeroed, or the
+        # deflate data overwritten from its first byte
+        write_idx_images(tmp_path / "imgs", np.arange(100, dtype=np.uint8).reshape(4, 5, 5))
+        raw = gzip.compress((tmp_path / "imgs").read_bytes())
+        path = tmp_path / "imgs.gz"
+        path.write_bytes(raw[:at] + bad + raw[at + len(bad):] if bad else raw[:at])
+        with pytest.raises(DatasetError, match="corrupt gzip data"):
+            load_idx_images(path)
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
+    @pytest.mark.parametrize("loader, header, claim", [
+        (load_idx_images, struct.pack(">IIII", 0x00000803, 100000, 1000, 1000), 10**11),
+        (load_idx_labels, struct.pack(">II", 0x00000801, 2**32 - 1), 2**32 - 1),
+    ], ids=["images", "labels"])
+    def test_header_bigger_than_file_rejected_before_allocating(self, tmp_path, loader,
+                                                                header, claim, gz):
+        # the header, then 64 bytes where it names far more
+        raw = header + b"\x00" * 64
+        path = tmp_path / "idx"
+        path.write_bytes(gzip.compress(raw) if gz else raw)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatasetError, match=f"expected {claim} bytes, got 64"):
+                loader(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestCifarFormat:

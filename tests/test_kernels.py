@@ -5,17 +5,14 @@ from hypothesis import strategies as st
 
 import xbnn
 from xbnn import kernels
-from xbnn.binarize import (BinarizedFilter, binarize_weights, binary_dot_factors,
-                            compute_beta_map)
+from xbnn.binarize import BinarizedFilter, binarize_weights, compute_beta_map
 from xbnn.bitpack import pack, xnor_dot
 from xbnn.kernels import (
     OpCounters,
     conv2d_reference,
     conv_binary_weight,
     conv_binary_weight_layer,
-    conv_xnor,
     conv_xnor_layer,
-    count_ops,
     im2col,
     sign_patch_matrix,
 )
@@ -208,7 +205,7 @@ class TestConvXnor:
         W = rng.normal(size=(3, 3, 3)).astype(np.float32)
         f = binarize_weights(W)
         geom = ConvGeometry(filt_hw=(3, 3))
-        out = conv_xnor(I, f, geom)
+        out = conv_xnor_layer(I, [f], geom)[0]
         ref = conv2d_reference(I, f.dense()[None], geom)[0]
         np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
 
@@ -217,15 +214,15 @@ class TestConvXnor:
         I = rng.normal(size=(2, 3, 3)).astype(np.float32)
         W = rng.normal(size=(2, 3, 3)).astype(np.float32)
         f = binarize_weights(W)
-        out = conv_xnor(I, f, ConvGeometry(filt_hw=(3, 3)))
-        factors = binary_dot_factors(I.reshape(-1), W.reshape(-1))
-        expected = xnor_dot(factors.H, factors.B) * factors.beta * factors.alpha
+        out = conv_xnor_layer(I, [f], ConvGeometry(filt_hw=(3, 3)))[0]
+        expected = (xnor_dot(pack(sign(I.reshape(-1))), pack(sign(W.reshape(-1))))
+                    * np.abs(I).mean() * np.abs(W).mean())
         assert out[0, 0] == pytest.approx(expected, rel=1e-5)
 
     def test_zero_input(self):
         W = np.ones((2, 2, 2))
-        out = conv_xnor(np.zeros((2, 4, 4), dtype=np.float32), binarize_weights(W),
-                        ConvGeometry(filt_hw=(2, 2)))
+        out = conv_xnor_layer(np.zeros((2, 4, 4), dtype=np.float32), [binarize_weights(W)],
+                              ConvGeometry(filt_hw=(2, 2)))[0]
         np.testing.assert_array_equal(out, np.zeros((3, 3)))
 
     def test_layer_matches_reference_oracle(self):
@@ -269,7 +266,7 @@ class TestConvXnor:
         for t in (0.0, 0.5, 0.95):
             blended_i = ((1 - t) * I + t * sign(I)).astype(np.float32)
             blended_w = ((1 - t) * W + t * w_target).astype(np.float32)
-            approx = conv_xnor(blended_i, binarize_weights(blended_w), geom)
+            approx = conv_xnor_layer(blended_i, [binarize_weights(blended_w)], geom)[0]
             exact = conv2d_reference(blended_i, blended_w[None], geom)[0]
             err = np.abs(approx - exact).max()
             assert np.isfinite(err)
@@ -284,7 +281,7 @@ class TestConvXnor:
         out = conv_xnor_layer(I, filters, geom)
         assert out.shape == (5, 8, 8)
         for k, f in enumerate(filters):
-            np.testing.assert_allclose(out[k], conv_xnor(I, f, geom), rtol=1e-6)
+            np.testing.assert_allclose(out[k], conv_xnor_layer(I, [f], geom)[0], rtol=1e-6)
 
     def test_counters_word_counts(self):
         rng = np.random.default_rng(9)
@@ -293,13 +290,11 @@ class TestConvXnor:
         f = binarize_weights(rng.normal(size=(c, fh, fw)))
         geom = ConvGeometry(filt_hw=(fh, fw))
         counters = OpCounters()
-        out = conv_xnor(I, f, geom, counters)
+        out = conv_xnor_layer(I, [f], geom, counters)[0]
         n_i = out.size
         words = fh * fw * ((c + 63) // 64)  # one channel word per tap
         assert counters.xnor_word == n_i * words
         assert counters.popcount_word == n_i * words
-        binary_ops, real_ops = count_ops(c, fh * fw, n_i, "xnor")
-        assert counters.xnor_word == words * (binary_ops // (c * fh * fw))
         # the only real multiplies are per-output scaling plus beta-map cost
         beta_muls = 10 * 10 + n_i
         assert counters.real_mul <= 2 * n_i + beta_muls
@@ -360,23 +355,6 @@ class TestXnorLayerOracle:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(kernels, "_TILE_WORDS", cap)
                 np.testing.assert_array_equal(conv_xnor_layer(I, filters, geom), out)
-
-
-class TestCountOps:
-    def test_paper_shape_counts(self):
-        assert count_ops(256, 9, 196, "xnor") == (256 * 9 * 196, 196)
-
-    def test_unit_case(self):
-        assert count_ops(1, 1, 1, "xnor") == (1, 1)
-
-    def test_full_precision_no_binary_ops(self):
-        binary_ops, real_ops = count_ops(17, 25, 100, "full")
-        assert binary_ops == 0
-        assert real_ops == 17 * 25 * 100
-
-    def test_positive_args_required(self):
-        with pytest.raises(ValueError):
-            count_ops(0, 9, 196)
 
 
 class TestExports:

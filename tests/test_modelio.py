@@ -288,6 +288,18 @@ class TestErrors:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("field", range(5), ids=["out_ch", "in_ch", "fh", "fw", "stride"])
+    def test_conv_header_zero_field_rejected(self, tmp_path, field):
+        # out, in, fh, fw, stride, pad, then the raw weights the header names
+        # before one of its fields is zeroed
+        dims = [2, 1, 3, 3, 1, 1]
+        dims[field] = 0
+        path = tmp_path / "m.xbn"
+        path.write_bytes(MAGIC + struct.pack("<HH3I", VERSION, 1, 1, 8, 8)
+                         + struct.pack("<BB6H", 1, 0, *dims) + bytes(4 * 2 * 1 * 3 * 3))
+        with pytest.raises(ModelIOError, match="each must be at least 1"):
+            load(path)
+
     @pytest.mark.parametrize("k_bits", [0, 17, 200])
     def test_binactiv_k_bits_out_of_range_rejected(self, tmp_path, k_bits):
         path = tmp_path / "m.xbn"
@@ -344,7 +356,7 @@ def test_layers_keep_the_attributes_their_init_sets(tmp_path):
                 for layer in (Conv2d(1, 1, (1, 1)), BatchNorm2d(1), ReLU(), BinaryActivation(),
                               MaxPool2d(2), AvgPool2d(2))}
     specs = [LayerSpec(kind="conv", out_ch=3, k=3, pad=1), LayerSpec(kind="maxpool", k=2)]
-    specs += conv_block("C-B-A-P", out_ch=4, pool=1)[:-1]
+    specs += conv_block("C-B-A-P", out_ch=4)[:-1]
     specs += [LayerSpec(kind="binconv", out_ch=4, k=3, pad=1, learned_scale=True),
               LayerSpec(kind="relu"), LayerSpec(kind="avgpool", k=2),
               LayerSpec(kind="conv", out_ch=5)]

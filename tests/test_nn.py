@@ -891,13 +891,14 @@ def eval_chains(draw):
                                                          max_size=2))]
 
     pad, stride = draw(st.integers(0, 1)), draw(st.sampled_from([1, 2]))
-    block = conv_block(draw(st.sampled_from(BLOCK_ORDERS)), out_ch=draw(st.integers(1, 5)), pad=pad)
+    block = conv_block(draw(st.sampled_from(BLOCK_ORDERS)), out_ch=draw(st.integers(1, 5)))
     for spec in block:
         if spec.kind == "maxpool":
             spec.kind = draw(st.sampled_from(["maxpool", "avgpool"]))
         elif spec.kind == "binactiv":
             spec.kind = draw(st.sampled_from(["relu", "binactiv"]))
         elif spec.kind == "binconv":
+            spec.pad = pad
             spec.learned_scale = draw(st.booleans())
     specs = run() + [LayerSpec(kind="conv", out_ch=draw(st.integers(1, 4)), k=3, pad=pad,
                                stride=stride)]

@@ -147,6 +147,12 @@ class TestElementwise:
         x = rng.normal(size=256)
         np.testing.assert_array_equal(sign(x) * np.abs(x), x)
 
+    def test_sign_product_identity(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=64) + 0.01  # keep away from zero
+        W = rng.normal(size=64) - 0.01
+        np.testing.assert_array_equal(sign(X) * sign(W), sign(X * W))
+
 
 class TestChannelAbsMean:
     def test_batched_equals_per_image(self):
