@@ -14,6 +14,11 @@ whose binarizing keeps the stored scales until it trains, so an exported
 model evaluates bit-identically without the real-valued weights.
 
 A pool header keeps a stride field, always equal to the window size.
+
+``save`` and ``load`` both walk the chain from the input shape: each conv
+and BatchNorm takes the channels of the layer before it, every conv and
+pool window fits its input, and a conv's pad is smaller than its filter.
+So a file that loads evaluates, and any network that saves loads again.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .nn import (
     Network,
     ReLU,
 )
+from .tensor import ShapeError
 
 MAGIC = b"XBN1"
 VERSION = 1
@@ -163,6 +169,25 @@ def _read_conv(fh, flags: int) -> Conv2d:
     return layer
 
 
+def _check_chain(layers, input_shape) -> None:
+    """Raise ModelIOError unless the chain of layers fits ``input_shape``:
+    the rules of the module docstring."""
+    c, hw = input_shape[0], tuple(input_shape[1:])
+    for i, layer in enumerate(layers):
+        if isinstance(layer, Conv2d) and layer.geom.pad >= min(layer.geom.filt_hw):
+            raise ModelIOError(f"layer {i}: conv pad {layer.geom.pad} is not smaller than "
+                               f"its {layer.geom.filt_hw} filter")
+        takes = layer.in_ch if isinstance(layer, Conv2d) else getattr(layer, "channels", c)
+        if takes != c:
+            raise ModelIOError(f"layer {i}: takes {takes} channels, the chain gives it {c}")
+        if isinstance(layer, (Conv2d, MaxPool2d, AvgPool2d)):
+            try:
+                hw = layer.geom.out_hw(hw)
+            except ShapeError as exc:
+                raise ModelIOError(f"layer {i}: {exc}") from None
+        c = getattr(layer, "out_ch", c)
+
+
 def _write_batchnorm(fh, layer: BatchNorm2d) -> None:
     fh.write(struct.pack("<BB", _KIND_BATCHNORM, 0))
     fh.write(struct.pack("<Hf", layer.channels, layer.eps))
@@ -197,6 +222,7 @@ def save(net: Network, path, *, pack_binarized: bool = False) -> None:
     for layer in net.layers:
         if isinstance(layer, (Conv2d, BinaryActivation)):
             _check_k_bits(layer.k_bits)
+    _check_chain(net.layers, net.input_shape)
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -259,6 +285,7 @@ def load(path) -> Network:
         trailing = fh.read(1)
         if trailing:
             raise SizeMismatchError("trailing bytes after final layer record")
+    _check_chain(layers, input_shape)
     return Network(layers, input_shape)
 
 

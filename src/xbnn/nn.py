@@ -12,27 +12,30 @@ extent, and the pools and ``_col2im`` their window taps, from a
 chunk of images at a time (about 1 MiB of columns, so a chunk stays in L2)
 and never holds a whole batch of columns; the backward builds them once.
 Binarized layers recompute their sign/scale factorization from the
-real-valued weights on every forward (a conv loaded from packed bits keeps
-its stored scales until its first train-mode forward), so the optimizer
-only ever touches real parameters. Gradients flow through the binarized
-weights, with the straight-through estimator standing in for the sign
-function's derivative.
+real-valued weights once per forward pass (a conv loaded from packed bits
+keeps its stored scales until its first train-mode forward), so the
+optimizer only ever touches real parameters. Gradients flow through the
+binarized weights, with the straight-through estimator standing in for the
+sign function's derivative.
 
-In eval, ``Network.forward`` runs the whole chain over one chunk of
-``_EVAL_IMAGES`` images at a time and writes each chunk's result into the
-output, so only the last layer's output is ever built for the whole batch:
-every layer's eval forward maps each image on its own. The output is
-bit-identical to a layer-by-layer eval, a zero's sign aside, which no later
-layer turns into another value. Every element goes through the same float
-operations, with one reordering: a MaxPool2d runs ahead of the ReLU and
-BatchNorm2d layers directly before it, so they work on the pooled values
-only. Per channel those layers compose to a non-decreasing map, and every
-float operation in them rounds monotonically, so the max of the mapped
-values is the map of the max. A BatchNorm whose scale is not positive (a
-negative one makes the map decreasing, and 0 * inf is NaN) or whose
-parameters are not finite stops the pool, and so does any other layer, such
-as BinaryActivation, whose sign(NaN) = -1 does not pass NaN on (see
-``_pool_first``).
+In eval, ``Network.forward`` first works out the eval plan, once per
+forward (``_pool_first``): every layer, in the order eval runs them, mapped
+to its per-batch state, such as a conv's (binarized) weights and a
+BatchNorm's folded scale. It then runs the chain over one chunk of
+``_EVAL_IMAGES`` images at a time, handing each layer the plan, and writes
+each chunk's result into the output, so only the last layer's output is
+ever built for the whole batch: every layer's eval forward maps each image
+on its own. The output is bit-identical to a layer-by-layer eval, a zero's
+sign aside, which no later layer turns into another value. Every element
+goes through the same float operations, with one reordering: a MaxPool2d
+runs ahead of the ReLU and BatchNorm2d layers directly before it, so they
+work on the pooled values only. Per channel those layers compose to a
+non-decreasing map, and every float operation in them rounds
+monotonically, so the max of the mapped values is the map of the max. A
+BatchNorm whose scale is not positive (a negative one makes the map
+decreasing, and 0 * inf is NaN) or whose parameters are not finite stops
+the pool, and so does any other layer, such as BinaryActivation, whose
+sign(NaN) = -1 does not pass NaN on (see ``_pool_first``).
 
 Each binarization rule is written once: the filter scale alpha = mean|W| in
 ``binarize.filter_alphas``, the estimator's gate in ``_sign_derivative``
@@ -196,14 +199,17 @@ class Layer:
     backward consumes it, and an eval-mode forward drops it.
 
     Every layer's eval forward maps each image on its own, so a chunk of
-    images gives those images' rows of the whole-batch result. Every
-    forward takes ``overwrite_x``, as scipy takes ``overwrite_a``: it lets an
-    eval forward reuse x's memory, and a layer that cannot use it ignores it.
+    images gives those images' rows of the whole-batch result. An eval
+    forward given ``plan``, its chain's eval plan from ``_pool_first``,
+    takes its per-batch state from ``plan[self]`` instead of working it out,
+    and it may overwrite x where x is writeable. Without a plan (a train
+    forward, or one layer run on its own) a forward works its state out and
+    leaves x alone.
     """
 
     _tape = None
 
-    def forward(self, x, train: bool, overwrite_x: bool = False):
+    def forward(self, x, train: bool, plan=None):
         raise NotImplementedError
 
     def backward(self, g):
@@ -223,12 +229,13 @@ class Layer:
 class Conv2d(Layer):
     """Convolution without bias; optionally binarizes weights and/or input.
 
-    With binarized weights the forward pass recomputes per-filter (alpha, B)
-    from the real weights every call (Algorithm-1 ordering; ``binarize_count``
-    exposes this for instrumentation). With binarized input it quantizes the
-    incoming tensor, computes the per-window scale map from the real input,
-    and multiplies it back into the conv output; the scale map is treated as
-    a constant in backward.
+    With binarized weights, per-filter (alpha, B) is recomputed from the real
+    weights once per forward pass (Algorithm-1 ordering): by every train
+    forward, and in eval by the plan, which hands it to every image chunk;
+    ``binarize_count`` counts these, once per forward in both modes. With
+    binarized input it quantizes the incoming tensor, computes the
+    per-window scale map from the real input, and multiplies it back into
+    the conv output; the scale map is treated as a constant in backward.
 
     Both modes run the channel-major path: per image, W (K, C*fh*fw) @
     columns (C*fh*fw, oh*ow), in image chunks of about ``_CHUNK_BYTES`` of
@@ -238,7 +245,7 @@ class Conv2d(Layer):
     differs from other summation orders by float rounding only. Train and
     eval run the same forward, which scales the product by K and then by the
     learned scale; in eval, ``Network.forward`` hands it one image chunk at a
-    time, and it never writes its input, so it ignores ``overwrite_x``. A
+    time with the plan's weights, and it never writes its input. A
     train forward keeps the strided view of the padded input on its tape; the
     backward copies it into a full-batch column matrix and takes the weight
     gradient from it with one ``tensordot`` gemm. A binarized bank maps that
@@ -296,13 +303,13 @@ class Conv2d(Layer):
         alphas = filter_alphas(W) if self.frozen_alphas is None else self.frozen_alphas
         return alphas[:, None, None, None] * sgn, alphas
 
-    def forward(self, x, train: bool, overwrite_x: bool = False):
+    def forward(self, x, train: bool, plan=None):
         x = np.asarray(x)
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise ShapeError(f"expected (N, {self.in_ch}, H, W), got {x.shape}")
         if train:
             self.frozen_alphas = None  # training moves W: alpha is mean|W| again
-        wtilde, alphas = self.effective_weights()
+        wtilde, alphas = self.effective_weights() if plan is None else plan[self]
 
         K = None
         conv_in = x
@@ -366,11 +373,12 @@ class BatchNorm2d(Layer):
 
     Training uses biased batch statistics and updates running stats with
     momentum 0.1. Eval folds the running variance and gamma into one
-    per-channel scale a = gamma / sqrt(var + eps), recomputed on every call
-    by ``eval_affine``, and returns (x - mean) * a + beta; it differs from
-    gamma * (x - mean) / sqrt(var + eps) + beta only by float32 rounding. The
-    mean is not folded into the shift: x * a + (beta - mean * a) cancels two
-    large terms when |mean| is large against the std, and loses digits.
+    per-channel scale a = gamma / sqrt(var + eps), which ``eval_affine``
+    works out once per network forward (the eval plan holds it), and returns
+    (x - mean) * a + beta; it differs from gamma * (x - mean) /
+    sqrt(var + eps) + beta only by float32 rounding. The mean is not folded
+    into the shift: x * a + (beta - mean * a) cancels two large terms when
+    |mean| is large against the std, and loses digits.
 
     Train mode centres the input once and reuses the centred tensor for the
     variance and, scaled in place, for xhat; forward and backward each reuse
@@ -397,16 +405,16 @@ class BatchNorm2d(Layer):
         ivar = 1.0 / np.sqrt(self.running_var.astype(dtype) + self.eps)
         return self.running_mean.astype(dtype), self.gamma.value * ivar
 
-    def forward(self, x, train: bool, overwrite_x: bool = False):
+    def forward(self, x, train: bool, plan=None):
         x = np.asarray(x)
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ShapeError(f"expected (N, {self.channels}, H, W), got {x.shape}")
         if not train:
             self._tape = None
-            mean, a = self.eval_affine(x.dtype)
+            mean, a = self.eval_affine(x.dtype) if plan is None else plan[self]
             dtype = np.result_type(x, a)
-            out = np.subtract(x, mean[None, :, None, None],
-                              out=x if overwrite_x and dtype == x.dtype else None, dtype=dtype)
+            out = x if plan and x.flags.writeable and dtype == x.dtype else None
+            out = np.subtract(x, mean[None, :, None, None], out=out, dtype=dtype)
             out *= a[None, :, None, None]
             out += self.beta.value[None, :, None, None]
             return out
@@ -446,10 +454,10 @@ class BatchNorm2d(Layer):
 
 
 class ReLU(Layer):
-    def forward(self, x, train: bool, overwrite_x: bool = False):
+    def forward(self, x, train: bool, plan=None):
         x = np.asarray(x)
         self._tape = x > 0 if train else None
-        return np.maximum(x, 0, dtype=x.dtype, out=x if overwrite_x else None)
+        return np.maximum(x, 0, dtype=x.dtype, out=x if plan and x.flags.writeable else None)
 
     def backward(self, g):
         return g * self._pop_tape()
@@ -462,7 +470,7 @@ class BinaryActivation(Layer):
         self.k_bits = k_bits
         self.ste_variant = ste_variant
 
-    def forward(self, x, train: bool, overwrite_x: bool = False):
+    def forward(self, x, train: bool, plan=None):
         x = np.asarray(x)
         self._tape = x if train else None
         return _quantize(x, self.k_bits)
@@ -498,7 +506,7 @@ class MaxPool2d(_Pool):
     go to the lowest (dy, dx).
     """
 
-    def forward(self, x, train: bool, overwrite_x: bool = False):
+    def forward(self, x, train: bool, plan=None):
         x = np.asarray(x)
         s = self.size
         oh, ow = self.geom.out_hw(x.shape[2:])
@@ -537,7 +545,7 @@ class AvgPool2d(_Pool):
     """Mean over non-overlapping s x s windows: each window row's taps are
     summed, then the rows, then divided by s * s."""
 
-    def forward(self, x, train: bool, overwrite_x: bool = False):
+    def forward(self, x, train: bool, plan=None):
         x = np.asarray(x)
         s = self.size
         taps = self.geom.taps(*self.geom.out_hw(x.shape[2:]))
@@ -565,8 +573,12 @@ _EVAL_IMAGES = 64
 
 
 def _pool_first(layers, dtype):
-    """A chain of layers, for an input of ``dtype``, in the order its eval
-    forward runs them.
+    """The eval plan of a chain of layers, for an input of ``dtype``: every
+    layer, in the order its eval forward runs them, mapped to its per-batch
+    state. A Conv2d's state is its ``effective_weights()``, and a
+    BatchNorm2d's the (mean, a) of its ``eval_affine`` in the dtype it sees;
+    other layers have none. A forward works the plan out once, so every
+    chunk applies the numbers the pool decision below reads.
 
     Each MaxPool2d runs ahead of the ReLU and BatchNorm2d layers directly
     before it, so they work on the pooled planes. Per channel those layers
@@ -576,35 +588,27 @@ def _pool_first(layers, dtype):
     max of f equals f of the max, bit for bit up to a zero's sign. That
     needs f free of 0 * inf and inf - inf, so a BatchNorm whose a is not
     positive and finite in every channel, or whose mean or beta is not
-    finite, stops the pool (a is read as its forward will compute it, in the
-    dtype it sees). So does every other layer: a Conv2d mixes channels,
-    BinaryActivation's sign(NaN) = -1 does not pass NaN on, and a pool does
-    not map each value on its own.
+    finite, stops the pool. So does every other layer: a Conv2d mixes
+    channels, BinaryActivation's sign(NaN) = -1 does not pass NaN on, and a
+    pool does not map each value on its own.
     """
     steps, run = [], 0  # run: how many of the last steps are non-decreasing maps
     for layer in layers:
         if isinstance(layer, MaxPool2d):
-            steps.insert(len(steps) - run, layer)
+            steps.insert(len(steps) - run, (layer, None))
             continue
-        rising = isinstance(layer, ReLU)
+        state, rising = None, isinstance(layer, ReLU)
         if isinstance(layer, BatchNorm2d):
-            mean, a = layer.eval_affine(dtype)
+            state = mean, a = layer.eval_affine(dtype)
             rising = bool((a > 0).all()) and all(
                 np.isfinite(v).all() for v in (mean, a, layer.beta.value))
             dtype = np.result_type(dtype, a)  # what the BatchNorm returns
         elif isinstance(layer, Conv2d):
+            state = layer.effective_weights()
             dtype = np.result_type(dtype, *(p.value.dtype for p in layer.params()))
         run = run + 1 if rising else 0
-        steps.append(layer)
-    return steps
-
-
-def _eval_chain(steps, y):
-    """Run eval layers over y, a buffer the caller owns, in turn; each may
-    overwrite its input."""
-    for layer in steps:
-        y = layer.forward(y, False, overwrite_x=True)
-    return y
+        steps.append((layer, state))
+    return dict(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -680,12 +684,12 @@ def conv_block(order: str, out_ch: int) -> list[LayerSpec]:
 
 
 class Network:
-    """A straight chain of at least one layer plus the input shape it was
-    built for."""
+    """A straight chain of at least one layer, each in it once, plus the
+    input shape it was built for."""
 
     def __init__(self, layers: list[Layer], input_shape):
-        if not layers:
-            raise ShapeError("a network needs at least one layer")
+        if not layers or len(set(layers)) < len(layers):
+            raise ShapeError("a network needs at least one layer, each in the chain once")
         self.layers = layers
         self.input_shape = tuple(input_shape)
 
@@ -700,11 +704,14 @@ class Network:
             for layer in self.layers:
                 x = layer.forward(x, True)
             return x
-        x = np.asarray(x)
-        first, *rest = _pool_first(self.layers, x.dtype)
+        x = np.asarray(x).view()
+        x.flags.writeable = False  # the caller's images: no layer may overwrite them
+        plan = _pool_first(self.layers, x.dtype)
         out = None
         for i in range(0, max(len(x), 1), _EVAL_IMAGES):  # an empty batch runs one empty chunk
-            y = _eval_chain(rest, first.forward(x[i:i + _EVAL_IMAGES], False, overwrite_x=False))
+            y = x[i:i + _EVAL_IMAGES]
+            for layer in plan:
+                y = layer.forward(y, False, plan)
             if out is None:
                 out = np.empty((len(x), *y.shape[1:]), dtype=y.dtype)
             out[i:i + len(y)] = y

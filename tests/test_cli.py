@@ -2,11 +2,9 @@ import shutil
 import struct
 import time
 
-import numpy as np
 import pytest
 
 from xbnn.cli import (
-    RunConfig,
     UsageError,
     _time_call,
     bench_case,
@@ -186,6 +184,25 @@ class TestExitCodes:
                           + struct.pack("<BB6H", 1, 0, 2, 0, 3, 3, 1, 1))
         assert cli_main(["describe", "--model", str(model)]) == 1
         assert "each must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["describe", "eval"])
+    @pytest.mark.parametrize("convs, message", [
+        ([(2, 1, 3, 3, 1, 65535)], "layer 0: conv pad 65535 is not smaller"),
+        ([(2, 1, 3, 3, 1, 1), (3, 5, 3, 3, 1, 0)], "layer 1: takes 5 channels"),
+    ], ids=["pad-65535", "in-channels"])
+    def test_model_that_does_not_fit_its_chain(self, data_dir, tmp_path, command, convs,
+                                               message, capsys):
+        # conv records (out, in, fh, fw, stride, pad), each with its raw weights
+        raw = MAGIC + struct.pack("<HH3I", VERSION, len(convs), 1, 28, 28)
+        for out, inp, fh, fw, stride, pad in convs:
+            raw += struct.pack("<BB6H", 1, 0, out, inp, fh, fw, stride, pad)
+            raw += bytes(4 * out * inp * fh * fw)
+        model = tmp_path / "m.xbn"
+        model.write_bytes(raw)
+        argv = [command, "--model", str(model)]
+        capsys.readouterr()
+        assert cli_main(argv + (["--data", str(data_dir)] if command == "eval" else [])) == 1
+        assert message in capsys.readouterr().err
 
     def test_eval_without_train_split(self, data_dir, tmp_path, capsys):
         # eval normalizes with the train split's statistics; without that

@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xbnn.data import Dataset
 from xbnn.modelio import (
     MAGIC,
     BadMagicError,
@@ -33,7 +32,22 @@ from xbnn.nn import (
     build_network,
     conv_block,
 )
-from xbnn.train import SGDMomentum, clamp_binarized_weights, evaluate, train_step
+from xbnn.train import SGDMomentum, clamp_binarized_weights, train_step
+
+
+def conv_file(path, *records, input_hw=(28, 28)):
+    """A one-channel model file of conv records, each (out, in, fh, fw,
+    stride, pad) with the raw weights it names, or the bytes of any other
+    record."""
+    raw = MAGIC + struct.pack("<HH3I", VERSION, len(records), 1, *input_hw)
+    for record in records:
+        if isinstance(record, bytes):
+            raw += record
+            continue
+        out, inp, fh, fw = record[:4]
+        raw += struct.pack("<BB6H", 1, 0, *record) + bytes(4 * out * inp * fh * fw)
+    path.write_bytes(raw)
+    return path
 
 
 def random_net(seed, mode="bwn", k_bits=1):
@@ -299,6 +313,58 @@ class TestErrors:
                          + struct.pack("<BB6H", 1, 0, *dims) + bytes(4 * 2 * 1 * 3 * 3))
         with pytest.raises(ModelIOError, match="each must be at least 1"):
             load(path)
+
+    @pytest.mark.parametrize("pad", [3, 65535])
+    def test_conv_pad_not_smaller_than_filter_rejected(self, tmp_path, pad):
+        # a 106-byte file: the header, then a 1->2 3x3 conv and its raw
+        # weights; with pad 65535 an eval would pad each image to 131098^2
+        path = conv_file(tmp_path / "m.xbn", (2, 1, 3, 3, 1, pad))
+        assert path.stat().st_size == 106
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelIOError, match=f"layer 0: conv pad {pad} is not smaller"):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_conv_channels_must_follow_the_chain(self, tmp_path):
+        path = conv_file(tmp_path / "m.xbn", (2, 1, 3, 3, 1, 1), (3, 5, 3, 3, 1, 0))
+        with pytest.raises(ModelIOError, match="layer 1: takes 5 channels, the chain gives it 2"):
+            load(path)
+
+    def test_batchnorm_channels_must_follow_the_chain(self, tmp_path):
+        net = Network([Conv2d(1, 2, (3, 3), pad=1), BatchNorm2d(2)], (1, 8, 8))
+        path = tmp_path / "m.xbn"
+        save(net, path)
+        raw = bytearray(path.read_bytes())
+        at = 20 + 2 + 12 + 4 * net.layers[0].weight.value.size + 2  # the BatchNorm's header
+        assert struct.unpack_from("<H", raw, at) == (2,)
+        # three channels, with the 4 * 3 float32 values such a record holds
+        struct.pack_into("<H", raw, at, 3)
+        path.write_bytes(bytes(raw[:at + 6]) + bytes(4 * 4 * 3))
+        with pytest.raises(ModelIOError, match="layer 1: takes 3 channels, the chain gives it 2"):
+            load(path)
+
+    @pytest.mark.parametrize("records, input_hw", [
+        ([(2, 1, 5, 5, 1, 0)], (4, 4)),
+        ([(2, 1, 1, 1, 1, 0), struct.pack("<BBHH", 5, 0, 4, 4)], (3, 3)),
+    ], ids=["conv", "maxpool"])
+    def test_empty_window_extent_rejected(self, tmp_path, records, input_hw):
+        path = conv_file(tmp_path / "m.xbn", *records, input_hw=input_hw)
+        with pytest.raises(ModelIOError, match="empty output"):
+            load(path)
+
+    @pytest.mark.parametrize("layers, message", [
+        ([Conv2d(1, 2, (3, 3), pad=3)], "conv pad 3 is not smaller"),
+        ([Conv2d(1, 2, (3, 3)), Conv2d(5, 3, (3, 3))], "takes 5 channels"),
+    ], ids=["pad", "channels"])
+    def test_save_checks_the_chain_load_checks(self, tmp_path, layers, message):
+        path = tmp_path / "m.xbn"
+        with pytest.raises(ModelIOError, match=message):
+            save(Network(layers, (1, 8, 8)), path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("k_bits", [0, 17, 200])
     def test_binactiv_k_bits_out_of_range_rejected(self, tmp_path, k_bits):

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from xbnn.binarize import binarize_weights, compute_beta_map, filter_alphas, window_mean
+from xbnn.binarize import binarize_weights, filter_alphas, window_mean
 from xbnn.cli import load_arch
 from xbnn.kernels import conv_xnor_layer
 from xbnn import nn
@@ -868,7 +868,8 @@ class TestBlockOrders:
 
 
 # ---------------------------------------------------------------------------
-# eval segments: each conv runs the per-image layers after it on its chunks
+# eval plan: Network.forward works out each layer's per-batch state once, then
+# runs the whole chain over one image chunk at a time
 
 TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy_cnn.cfg"
 PER_IMAGE_KINDS = ("batchnorm", "relu", "binactiv", "maxpool", "avgpool")
@@ -876,6 +877,18 @@ PER_IMAGE_KINDS = ("batchnorm", "relu", "binactiv", "maxpool", "avgpool")
 
 def toy_xnor_net(seed=0):
     return build_network(apply_mode(load_arch(TOY_CFG), "xnor"), (1, 28, 28), seed=seed)
+
+
+def eval_plan_net(arch):
+    """The toy xnor net, or a hand-built chain that opens with a BatchNorm and
+    a binarized conv, so each image chunk's first two layers have state."""
+    if arch == "toy":
+        return toy_xnor_net()
+    rng = np.random.default_rng(36)
+    return Network([BatchNorm2d(1), Conv2d(1, 3, (3, 3), pad=1, binarize_weights=True, rng=rng),
+                    BatchNorm2d(3), ReLU(), MaxPool2d(2),
+                    Conv2d(3, 2, (3, 3), binarize_weights=True, binarize_input=True, rng=rng)],
+                   (1, 8, 8))
 
 
 @st.composite
@@ -980,11 +993,13 @@ class TestEvalSegments:
             want = x
             for layer in layers:
                 want = layer.forward(want, train=False)
-            got = nn._eval_chain(steps, x.copy())
+            got = x.copy()
+            for layer in steps:
+                got = layer.forward(got, False, steps)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
         scales = [l.eval_affine(dtype)[1] for l in layers if isinstance(l, BatchNorm2d)]
-        assert (steps[0] is pool) == all((a > 0).all() for a in scales)
+        assert (list(steps)[0] is pool) == all((a > 0).all() for a in scales)
 
     @pytest.mark.parametrize("field", ["running_mean", "beta", "gamma"])
     def test_non_finite_batchnorm_stops_the_pool(self, field):
@@ -997,7 +1012,7 @@ class TestEvalSegments:
             bn.gamma.value = np.array([1.0, -0.5], dtype=np.float32)  # decreasing in one channel
         else:
             bn.running_mean = values
-        assert nn._pool_first([bn, relu, pool], np.float32) == [bn, pool, relu]
+        assert list(nn._pool_first([bn, relu, pool], np.float32)) == [bn, pool, relu]
 
     def test_conv_sets_the_dtype_the_plan_reads(self):
         # a float64 conv turns float32 input into float64, where this
@@ -1006,14 +1021,14 @@ class TestEvalSegments:
         conv, bn, relu, pool = Conv2d(2, 2, (1, 1)), BatchNorm2d(2), ReLU(), MaxPool2d(2)
         conv.weight.value = conv.weight.value.astype(np.float64)
         bn.running_var = np.full(2, 1e300)
-        assert nn._pool_first([conv, bn, relu, pool], np.float32) == [conv, pool, bn, relu]
+        assert list(nn._pool_first([conv, bn, relu, pool], np.float32)) == [conv, pool, bn, relu]
         with np.errstate(over="ignore"):
-            assert nn._pool_first([bn, relu, pool], np.float32) == [bn, pool, relu]
+            assert list(nn._pool_first([bn, relu, pool], np.float32)) == [bn, pool, relu]
 
     def test_binary_activation_stops_the_pool(self):
         bn, act, relu, pool = BatchNorm2d(2), BinaryActivation(), ReLU(), MaxPool2d(2)
-        assert nn._pool_first([bn, act, relu, pool], np.float32) == [bn, act, pool, relu]
-        assert nn._pool_first([relu, act, pool], np.float32) == [relu, act, pool]
+        assert list(nn._pool_first([bn, act, relu, pool], np.float32)) == [bn, act, pool, relu]
+        assert list(nn._pool_first([relu, act, pool], np.float32)) == [relu, act, pool]
 
     @pytest.mark.parametrize("arch", ["toy", "leading-relu-unpadded"])
     def test_eval_forward_leaves_input_and_tapes_alone(self, arch):
@@ -1045,9 +1060,31 @@ class TestEvalSegments:
         bn.gamma.value = rng.normal(size=3).astype(p_dtype)
         x = rng.normal(size=(2, 3, 4, 4)).astype(x_dtype)
         want = bn.forward(x, train=False)
-        got = bn.forward(x.copy(), train=False, overwrite_x=True)
+        got = bn.forward(x.copy(), train=False, plan=nn._pool_first([bn], x.dtype))
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("arch", ["toy", "binarized-first"])
+    def test_eval_binarizes_once_per_forward(self, arch):
+        net = eval_plan_net(arch)
+        convs = [c for c in net.conv_layers() if c.binarize_weights]
+        x = np.random.default_rng(34).normal(size=(257, *net.input_shape)).astype(np.float32)
+        before = [c.binarize_count for c in convs]
+        net.forward(x, train=False)  # five image chunks
+        assert [c.binarize_count - b for c, b in zip(convs, before)] == [1] * len(convs)
+
+    @pytest.mark.parametrize("arch", ["toy", "binarized-first"])
+    def test_eval_folds_each_batchnorm_once_per_forward(self, arch, monkeypatch):
+        net = eval_plan_net(arch)
+        calls = []
+        eval_affine = BatchNorm2d.eval_affine
+        monkeypatch.setattr(BatchNorm2d, "eval_affine",
+                            lambda bn, dtype: calls.append(bn) or eval_affine(bn, dtype))
+        x = np.random.default_rng(35).normal(size=(257, *net.input_shape)).astype(np.float32)
+        x_before = x.copy()
+        net.forward(x, train=False)
+        assert calls == [l for l in net.layers if isinstance(l, BatchNorm2d)]
+        np.testing.assert_array_equal(x, x_before)  # a leading BatchNorm reads, not writes
 
     def test_empty_batch(self):
         net, x = toy_xnor_net(), np.zeros((0, 1, 28, 28), dtype=np.float32)
@@ -1217,6 +1254,12 @@ class TestSpecsAndModes:
             build_network([LayerSpec(kind="softmax-nll")], (1, 3, 3))
         with pytest.raises(ShapeError, match="at least one layer"):
             Network([], (1, 3, 3))
+
+    def test_network_holds_each_layer_once(self):
+        # a layer keeps one tape and one eval-plan entry
+        relu = ReLU()
+        with pytest.raises(ShapeError, match="each in the chain once"):
+            Network([relu, MaxPool2d(2), relu], (1, 4, 4))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

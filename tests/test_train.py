@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from xbnn.data import Dataset, Stats
-from xbnn.nn import LayerSpec, Param, apply_mode, build_network
+from xbnn.data import Dataset
+from xbnn.nn import LayerSpec, Param, build_network
 from xbnn.train import (
     Adam,
     PolynomialDecay,
