@@ -10,11 +10,27 @@ layer packs each pixel's and each filter tap's channel signs with
 layout packs a filter; only the (word, fh, fw) order of the words differs
 from the file's (c, fh, fw). The one-filter BWN function calls the layer
 with a one-filter bank.
+
+The XNOR layer's XOR + popcount loop is C, in ``_xnor.c`` beside this file;
+packing, the beta map and the scaling stay in numpy. The first
+``conv_xnor_layer`` call of a process compiles it with ``cc -O3
+-march=native`` into ``_xnor_cache/`` beside this file, under a name keyed
+by the source, the command and the host CPU's model and flags, and loads it
+through ctypes; later processes load the cached library. Importing the
+package builds and loads nothing. Without a working ``cc`` the call raises
+``BuildError`` with the command and the compiler's stderr: there is no
+numpy fallback.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import subprocess
+import zlib
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +39,7 @@ from .bitpack import bits_to_signs, unpack_bank, words_from_bits
 from .tensor import ConvGeometry, ShapeError, conv2d_reference, pad_hw, windows
 
 __all__ = [
+    "BuildError",
     "OpCounters",
     "conv2d_reference",
     "conv_binary_weight",
@@ -120,9 +137,83 @@ def _beta_map_cost(I_shape, geom: ConvGeometry, counters: OpCounters) -> None:
     counters.real_add += c * h * w + fh * fw * oh * ow
 
 
-# cap on the (rows, filters, positions) XOR tile, in words (512 KiB) while
-# rows <= 2^16; timed against 2^15..2^18 at c=16..512 with 9x9 to 56x56 outputs
-_TILE_WORDS = 1 << 16
+class BuildError(RuntimeError):
+    """The C compiler could not build the XNOR inner loop; the message holds
+    the command and the compiler's stderr."""
+
+
+_SOURCE = Path(__file__).with_name("_xnor.c")
+_CACHE_DIR = Path(__file__).with_name("_xnor_cache")
+_CC = "cc"
+_CFLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
+# /proc/cpuinfo fields that name the instruction set -march=native targets
+# ("Features" is the flags field on Arm)
+_CPU_FIELDS = ("model name", "flags", "Features")
+
+
+def _cpu_signature() -> bytes:
+    """The first processor's model and flags lines from /proc/cpuinfo, or
+    nothing where that file does not exist."""
+    lines = []
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if not line.strip():
+                    break
+                if line.partition(":")[0].strip() in _CPU_FIELDS:
+                    lines.append(line)
+    except OSError:
+        pass
+    return "".join(lines).encode()
+
+
+def _build() -> Path:
+    """Path of ``_xnor.c`` compiled for this host: from the cache, or built
+    into it through a temporary file that ``os.replace`` moves into place."""
+    cmd = [_CC, *_CFLAGS]
+    key = zlib.crc32(b"\0".join([_SOURCE.read_bytes(), " ".join(cmd).encode(),
+                                   _cpu_signature()]))
+    lib = _CACHE_DIR / f"_xnor-{key:08x}.so"
+    if lib.exists():
+        return lib
+    lib.parent.mkdir(exist_ok=True)
+    tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+    cmd += ["-o", str(tmp), str(_SOURCE)]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
+    except OSError as exc:
+        raise BuildError(f"{' '.join(cmd)}: {exc}") from None
+    if proc.returncode:
+        tmp.unlink(missing_ok=True)
+        raise BuildError(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
+    os.replace(tmp, lib)
+    return lib
+
+
+@cache
+def _mismatch_kernel():
+    """``xnor_mismatches`` from the built library, loaded once per process.
+    Its array arguments refuse a wrong dtype, rank or layout before any
+    pointer reaches C."""
+    fn = ctypes.CDLL(str(_build())).xnor_mismatches
+    words = np.ctypeslib.ndpointer(np.uint64, ndim=2, flags="C_CONTIGUOUS")
+    counts = np.ctypeslib.ndpointer(np.int32, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    fn.argtypes = [words, words, counts, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64]
+    fn.restype = None
+    return fn
+
+
+def _xnor_mismatches(cols: np.ndarray, filt: np.ndarray) -> np.ndarray:
+    """(filters, positions) int32 counts of mismatched signs: out[k, p] sums
+    popcount(cols[r, p] ^ filt[k, r]) over the rows r of the (rows,
+    positions) columns and the (filters, rows) filter words."""
+    rows, positions = cols.shape
+    k = filt.shape[0]
+    if filt.shape != (k, rows):
+        raise ShapeError(f"filter words {filt.shape} do not match {rows} column rows")
+    out = np.empty((k, positions), dtype=np.int32)
+    _mismatch_kernel()(cols, filt, out, rows, positions, k)
+    return out
 
 
 def conv_xnor_layer(
@@ -145,19 +236,10 @@ def conv_xnor_layer(
     if counters is not None:
         _beta_map_cost(I.shape, geom, counters)
     k, c, fh, fw = bits.shape
-    filt = words_from_bits(bits.transpose(2, 3, 0, 1))  # (fh, fw, K, words)
+    # each filter tap's channel words, in the columns' (word, fh, fw) row order
+    filt = words_from_bits(bits.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1).reshape(k, -1)
     rows, positions = cols.shape
-    filt = filt.transpose(3, 0, 1, 2).reshape(rows, k)
-
-    mismatches = np.empty((k, positions), dtype=np.int32)
-    pc = max(1, min(positions, _TILE_WORDS // rows))
-    kc = max(1, min(k, _TILE_WORDS // (rows * pc)))
-    xor = np.empty((rows, kc, pc), dtype=np.uint64)
-    for k0 in range(0, k, kc):
-        for p0 in range(0, positions, pc):
-            tile = xor[:, :min(kc, k - k0), :min(pc, positions - p0)]
-            np.bitwise_xor(cols[:, None, p0:p0 + pc], filt[:, k0:k0 + kc, None], out=tile)
-            mismatches[k0:k0 + kc, p0:p0 + pc] = np.bitwise_count(tile).sum(axis=0, dtype=np.int32)
+    mismatches = _xnor_mismatches(np.ascontiguousarray(cols), np.ascontiguousarray(filt))
     dots = c * fh * fw - 2 * mismatches
     if counters is not None:
         live = sum(not f.degenerate for f in filters)

@@ -17,8 +17,10 @@ A pool header keeps a stride field, always equal to the window size.
 
 ``save`` and ``load`` both walk the chain from the input shape: each conv
 and BatchNorm takes the channels of the layer before it, every conv and
-pool window fits its input, and a conv's pad is smaller than its filter.
-So a file that loads evaluates, and any network that saves loads again.
+pool window fits its input, a conv's pad is smaller than its filter, and a
+conv's one-image float32 column matrix (c*fh*fw by oh*ow) holds at most
+MAX_COLUMN_BYTES. So a file that loads evaluates, and any network that
+saves loads again.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ _FLAG_PACKED = 8
 # the layout they had before k_bits was stored
 _K_BITS_SHIFT = 4
 _MAX_K_BITS = 16
+
+# cap on one conv's float32 column matrix for one image, in bytes
+MAX_COLUMN_BYTES = 1 << 30
 
 
 class ModelIOError(Exception):
@@ -185,6 +190,11 @@ def _check_chain(layers, input_shape) -> None:
                 hw = layer.geom.out_hw(hw)
             except ShapeError as exc:
                 raise ModelIOError(f"layer {i}: {exc}") from None
+        if isinstance(layer, Conv2d):
+            col_bytes = 4 * c * layer.geom.filt_hw[0] * layer.geom.filt_hw[1] * hw[0] * hw[1]
+            if col_bytes > MAX_COLUMN_BYTES:
+                raise ModelIOError(f"layer {i}: conv's column matrix takes {col_bytes} bytes "
+                                   f"per image, over the {MAX_COLUMN_BYTES}-byte limit")
         c = getattr(layer, "out_ch", c)
 
 

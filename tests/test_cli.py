@@ -204,6 +204,14 @@ class TestExitCodes:
         assert cli_main(argv + (["--data", str(data_dir)] if command == "eval" else [])) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["describe", "eval"])
+    def test_model_whose_columns_ask_for_terabytes(self, data_dir, giant_conv_model, command,
+                                                   capsys):
+        argv = [command, "--model", str(giant_conv_model)]
+        capsys.readouterr()
+        assert cli_main(argv + (["--data", str(data_dir)] if command == "eval" else [])) == 1
+        assert "layer 0: conv's column matrix takes" in capsys.readouterr().err
+
     def test_eval_without_train_split(self, data_dir, tmp_path, capsys):
         # eval normalizes with the train split's statistics; without that
         # split it must fail, not fall back to the eval split's own

@@ -1,3 +1,9 @@
+import ctypes
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -349,12 +355,181 @@ class TestXnorLayerOracle:
         for k, f in enumerate(filters):
             if f.degenerate:
                 np.testing.assert_array_equal(out[k], 0.0)
-        rows = -(-I.shape[0] // 64) * geom.filt_hw[0] * geom.filt_hw[1]
-        # 1x1 tiles, three-position tiles, two-filter tiles
-        for cap in (1, 3 * rows, 2 * rows * out[0].size):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(kernels, "_TILE_WORDS", cap)
-                np.testing.assert_array_equal(conv_xnor_layer(I, filters, geom), out)
+
+
+# ---------------------------------------------------------------------------
+# the compiled XOR + popcount loop against the numpy loop it replaced
+
+# cap on the (rows, filters, positions) XOR tile, in words (512 KiB) while
+# rows <= 2^16; timed against 2^15..2^18 at c=16..512 with 9x9 to 56x56 outputs
+TILE_WORDS = 1 << 16
+
+
+def numpy_mismatches(cols, filt, tile_words=TILE_WORDS):
+    """The numpy XOR + popcount loop over (rows, filters, positions) tiles of
+    at most ``tile_words`` words: (filters, positions) int32 mismatch counts
+    of the (rows, positions) columns against the (filters, rows) filter
+    words."""
+    rows, positions = cols.shape
+    k = filt.shape[0]
+    filt = filt.T
+    mismatches = np.empty((k, positions), dtype=np.int32)
+    pc = max(1, min(positions, tile_words // rows))
+    kc = max(1, min(k, tile_words // (rows * pc)))
+    xor = np.empty((rows, kc, pc), dtype=np.uint64)
+    for k0 in range(0, k, kc):
+        for p0 in range(0, positions, pc):
+            tile = xor[:, :min(kc, k - k0), :min(pc, positions - p0)]
+            np.bitwise_xor(cols[:, None, p0:p0 + pc], filt[:, k0:k0 + kc, None], out=tile)
+            mismatches[k0:k0 + kc, p0:p0 + pc] = np.bitwise_count(tile).sum(axis=0, dtype=np.int32)
+    return mismatches
+
+
+@st.composite
+def mismatch_cases(draw):
+    """(I, filters, geom): c across the channel words' boundaries, 1 to 70
+    filters, a quarter of them all-zero (alpha = 0), filters 1x1 to 5x5,
+    stride 1 or 2, pad 0 to 2, and half the cases one output position."""
+    c = draw(st.sampled_from([1, 63, 64, 65, 129]))
+    fh, fw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    stride, pad = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    oh, ow = (1, 1) if draw(st.booleans()) else (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    h, w = (oh - 1) * stride + fh - 2 * pad, (ow - 1) * stride + fw - 2 * pad
+    assume(h >= 1 and w >= 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    I = rng.normal(size=(c, h, w)).astype(np.float32)
+    bank = rng.normal(size=(draw(st.integers(1, 70)), c, fh, fw))
+    bank[rng.random(len(bank)) < 0.25] = 0.0
+    geom = ConvGeometry(filt_hw=(fh, fw), stride=stride, pad=pad)
+    assert geom.out_hw((h, w)) == (oh, ow)
+    return I, [binarize_weights(f) for f in bank], geom
+
+
+class TestCompiledMismatches:
+    @given(mismatch_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_counts_equal_numpy_loop(self, case):
+        # the layer's own operands and counts, taken at the compiled call
+        I, filters, geom = case
+        calls = []
+
+        def spy(cols, filt):
+            out = compiled(cols, filt)
+            calls.append((cols, filt, out))
+            return out
+
+        compiled = kernels._xnor_mismatches
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_xnor_mismatches", spy)
+            conv_xnor_layer(I, filters, geom)
+        [(cols, filt, out)] = calls
+        np.testing.assert_array_equal(cols, sign_patch_matrix(I, geom))
+        rows, positions = cols.shape
+        assert out.shape == (len(filters), positions) and out.dtype == np.int32
+        # default tiles, 1x1 tiles, three-position tiles, two-filter tiles
+        for cap in (TILE_WORDS, 1, 3 * rows, 2 * rows * positions):
+            np.testing.assert_array_equal(out, numpy_mismatches(cols, filt, cap))
+
+    @pytest.mark.parametrize("which", ["cols", "filt"])
+    @pytest.mark.parametrize("bad", ["strided", "fortran", "int64", "1-d"])
+    def test_operand_refused_before_the_call(self, which, bad):
+        rng = np.random.default_rng(13)
+        good = {"cols": rng.integers(0, 2**63, size=(4, 6), dtype=np.uint64),
+                "filt": rng.integers(0, 2**63, size=(3, 4), dtype=np.uint64)}
+        wide = rng.integers(0, 2**63, size=(8, 12), dtype=np.uint64)[::2, ::2]
+        operand = good[which]
+        operand = {"strided": wide if which == "cols" else wide[:3, :4],
+                   "fortran": np.asfortranarray(operand),
+                   "int64": operand.astype(np.int64),
+                   "1-d": operand.ravel()}[bad]
+        args = {**good, which: operand}
+        kernel = kernels._mismatch_kernel()
+        out = np.full((3, 6), -1, dtype=np.int32)
+        with pytest.raises(ctypes.ArgumentError):
+            kernel(args["cols"], args["filt"], out, 4, 6, 3)
+        assert (out == -1).all()  # nothing ran
+        np.testing.assert_array_equal(kernels._xnor_mismatches(good["cols"], good["filt"]),
+                                      numpy_mismatches(good["cols"], good["filt"]))
+
+    def test_filter_rows_must_match_column_rows(self):
+        cols = np.zeros((4, 6), dtype=np.uint64)
+        with pytest.raises(ShapeError):
+            kernels._xnor_mismatches(cols, np.zeros((3, 5), dtype=np.uint64))
+
+
+class TestBuild:
+    """The library is built once per source, command and CPU into the cache
+    directory; a failed build is a BuildError that names the command."""
+
+    @pytest.fixture
+    def fresh(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kernels, "_CACHE_DIR", tmp_path / "cache")
+        kernels._mismatch_kernel.cache_clear()
+        yield monkeypatch
+        kernels._mismatch_kernel.cache_clear()
+
+    def _layer_call(self):
+        rng = np.random.default_rng(14)
+        I = rng.normal(size=(3, 5, 5)).astype(np.float32)
+        return conv_xnor_layer(I, [binarize_weights(rng.normal(size=(3, 3, 3)))],
+                               ConvGeometry(filt_hw=(3, 3)))
+
+    def test_missing_compiler(self, fresh, tmp_path):
+        fresh.setattr(kernels, "_CC", str(tmp_path / "no-such-cc"))
+        with pytest.raises(kernels.BuildError, match=f"{tmp_path / 'no-such-cc'} -O3 -march=native"):
+            self._layer_call()
+        assert not list((tmp_path / "cache").glob("*"))
+
+    def test_compile_error_carries_stderr(self, fresh, tmp_path):
+        bad = tmp_path / "bad.c"
+        bad.write_text("this is not C\n")
+        fresh.setattr(kernels, "_SOURCE", bad)
+        with pytest.raises(kernels.BuildError, match="(?s)cc -O3 -march=native.*bad.c.*error"):
+            self._layer_call()
+        assert not list((tmp_path / "cache").glob("*"))  # no temporary file left
+
+    def test_one_build_per_source_command_and_cpu(self, fresh, tmp_path):
+        out = self._layer_call()
+        [lib] = (tmp_path / "cache").glob("*")
+        assert lib.suffix == ".so" and kernels._build() == lib
+        fresh.setattr(kernels, "_cpu_signature", lambda: b"model name\t: another CPU\n")
+        other = kernels._build()
+        assert other != lib and sorted((tmp_path / "cache").glob("*")) == sorted([lib, other])
+        np.testing.assert_array_equal(self._layer_call(), out)
+
+
+LAZY_SCRIPT = """
+import numpy as np
+import xbnn
+from xbnn import kernels, modelio, nn, train
+from xbnn.cli import load_arch
+
+net = nn.build_network(nn.apply_mode(load_arch({cfg!r}), "xnor"), (1, 28, 28), seed=0)
+rng = np.random.default_rng(0)
+batch = (rng.normal(size=(8, 1, 28, 28)).astype(np.float32), rng.integers(0, 10, size=8))
+train.train_step(net, batch, train.Adam(lr=0.01))
+modelio.save(net, {model!r}, pack_binarized=True)
+logits = modelio.load({model!r}).logits(batch[0])
+assert np.isfinite(logits).all()
+with open("/proc/self/maps") as fh:
+    mapped = "_xnor" in fh.read()
+print(kernels._mismatch_kernel.cache_info().currsize, mapped, kernels._CACHE_DIR.exists())
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="reads /proc/self/maps")
+def test_import_train_and_eval_load_no_library(tmp_path):
+    # a copy of the package, so its cache directory starts absent
+    src = Path(kernels.__file__).parent
+    shutil.copytree(src, tmp_path / "xbnn", ignore=shutil.ignore_patterns("_xnor_cache"))
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "toy_cnn.cfg"
+    script = LAZY_SCRIPT.format(cfg=str(cfg), model=str(tmp_path / "m.xbn"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, env={"PYTHONPATH": str(tmp_path), "OPENBLAS_NUM_THREADS": "1"},
+                          timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "False"]
+    assert not (tmp_path / "xbnn" / "_xnor_cache").exists()
 
 
 class TestExports:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from xbnn import modelio
 from xbnn.modelio import (
     MAGIC,
     BadMagicError,
@@ -329,6 +330,25 @@ class TestErrors:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_conv_column_matrix_over_the_limit_rejected(self, giant_conv_model):
+        # one packed 1->1 1025x1025 conv with pad 1024 on a 1x28x28 input,
+        # whose first eval would ask for 4.23 TiB of columns
+        path = giant_conv_model
+        assert path.stat().st_size == 131_374
+        with pytest.raises(ModelIOError, match="layer 0: conv's column matrix takes "
+                                               f"{4 * 1025**2 * 1052**2} bytes per image"):
+            load(path)
+
+    def test_column_matrix_limit_is_inclusive(self, tmp_path, monkeypatch):
+        net = Network([Conv2d(1, 2, (3, 3), pad=1)], (1, 8, 8))
+        monkeypatch.setattr(modelio, "MAX_COLUMN_BYTES", 4 * 9 * 64)
+        path = tmp_path / "m.xbn"
+        save(net, path)
+        assert load(path).layers[0].geom == net.layers[0].geom
+        monkeypatch.setattr(modelio, "MAX_COLUMN_BYTES", 4 * 9 * 64 - 1)
+        with pytest.raises(ModelIOError, match="over the 2303-byte limit"):
+            load(path)
+
     def test_conv_channels_must_follow_the_chain(self, tmp_path):
         path = conv_file(tmp_path / "m.xbn", (2, 1, 3, 3, 1, 1), (3, 5, 3, 3, 1, 0))
         with pytest.raises(ModelIOError, match="layer 1: takes 5 channels, the chain gives it 2"):
@@ -359,7 +379,8 @@ class TestErrors:
     @pytest.mark.parametrize("layers, message", [
         ([Conv2d(1, 2, (3, 3), pad=3)], "conv pad 3 is not smaller"),
         ([Conv2d(1, 2, (3, 3)), Conv2d(5, 3, (3, 3))], "takes 5 channels"),
-    ], ids=["pad", "channels"])
+        ([Conv2d(1, 1, (1025, 1025), pad=1024)], "over the 1073741824-byte limit"),
+    ], ids=["pad", "channels", "columns"])
     def test_save_checks_the_chain_load_checks(self, tmp_path, layers, message):
         path = tmp_path / "m.xbn"
         with pytest.raises(ModelIOError, match=message):
