@@ -4,9 +4,10 @@ scale map and the k-bit quantizer.
 The weight factorization W ~ alpha*B with B = sign(W) and alpha = mean(|W|)
 is the exact minimizer of ||W - alpha*B||^2 over B in {+-1}^n, alpha > 0; the
 brute-force check in the test suite enumerates all sign patterns to confirm.
-``filter_alphas`` is the one place alpha is computed: the packed filters, the
-training layers (``nn.Conv2d``) and the packed model export all call it, so
-a packed file reproduces the scales training used bit for bit.
+``filter_alphas`` is the one place alpha is computed: the packed filters and
+the training layers (``nn.Conv2d.scales``, which the packed model export
+also reads) call it, so a packed file reproduces the scales training used
+bit for bit.
 """
 
 from __future__ import annotations

@@ -6,12 +6,17 @@ File layout (all little-endian):
     then per layer: kind u8 | flags u8 | kind-specific header | payload
 
 A conv's flags byte keeps the k_bits of its input quantizer, minus one, in
-its high nibble. Conv payloads are either raw float32 weights (training
-checkpoints) or the packed form: per filter ceil(n/64) uint64 sign words
-(bitpack layout) followed by one float32 scale per filter. Loading a packed
-convolution gives back a binarized conv whose weights are alpha * sign and
-whose binarizing keeps the stored scales until it trains, so an exported
-model evaluates bit-identically without the real-valued weights.
+its high nibble. A binarized conv evaluates alpha * sign(W), and
+``Conv2d.scales`` gives its per-filter alpha: the learned scale, the scales
+stored at load, or mean|W|. A learned scale or a packed payload needs the
+binarized-weights flag. Conv payloads are either raw float32 weights
+(training checkpoints), followed by the learned scales if the conv has them,
+or the packed form: per filter ceil(n/64) uint64 sign words (bitpack layout)
+followed by the float32 ``scales()``, one per filter. Loading a packed
+convolution gives back a binarized conv: with a learned scale, sign weights
+and the stored scales as that scale; otherwise weights alpha * sign, whose
+stored scales its binarizing keeps (``frozen_alphas``) until it trains. So
+an exported model evaluates bit-identically without the real-valued weights.
 
 A pool header keeps a stride field, always equal to the window size.
 
@@ -31,7 +36,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .binarize import filter_alphas
 from .bitpack import bits_to_signs, unpack_bank, word_count, words_from_bits
 from .nn import (
     AvgPool2d,
@@ -117,13 +121,7 @@ def _write_conv(fh, layer: Conv2d, pack_binarized: bool) -> None:
     if packed:
         flat = W.reshape(layer.out_ch, -1)
         fh.write(words_from_bits(flat >= 0).astype("<u8").tobytes())
-        if layer.learned_scale:
-            alphas = layer.alpha.value.astype(np.float32)
-        elif layer.frozen_alphas is not None:
-            alphas = layer.frozen_alphas
-        else:
-            alphas = filter_alphas(W)
-        fh.write(alphas.astype("<f4").tobytes())
+        fh.write(layer.scales().astype("<f4").tobytes())
     else:
         fh.write(W.astype("<f4").tobytes())
         if layer.learned_scale:
@@ -136,9 +134,9 @@ def _read_conv(fh, flags: int) -> Conv2d:
         raise ModelIOError(f"conv header out {out_ch}, in {in_ch}, filter {fh_}x{fw_}, "
                            f"stride {stride}: each must be at least 1")
     n = in_ch * fh_ * fw_
+    if flags & (_FLAG_PACKED | _FLAG_LEARNED_SCALE) and not flags & _FLAG_BIN_WEIGHTS:
+        raise ModelIOError("packed or learned-scale conv record without binarized weights")
     packed = bool(flags & _FLAG_PACKED)
-    if packed and not flags & _FLAG_BIN_WEIGHTS:
-        raise ModelIOError("packed conv record without binarized weights")
     learned = bool(flags & _FLAG_LEARNED_SCALE)
     # check the payload against the file before building a layer of that size
     payload = out_ch * (filter_bytes(n, packed) + 4 * (learned and not packed))

@@ -37,11 +37,14 @@ decreasing, and 0 * inf is NaN) or whose parameters are not finite stops
 the pool, and so does any other layer, such as BinaryActivation, whose
 sign(NaN) = -1 does not pass NaN on (see ``_pool_first``).
 
-Each binarization rule is written once: the filter scale alpha = mean|W| in
-``binarize.filter_alphas``, the estimator's gate in ``_sign_derivative``
-(used by ``ste_backward_sign`` and ``weight_gradient``, for inputs, weights
-and learned-scale weights alike), the input quantizer in ``_quantize``, and
-the full-precision first and last conv in ``_inner_convs``.
+Each binarization rule is written once: the binarized weights alpha *
+sign(W) in ``Conv2d.effective_weights``, whose per-filter alpha comes from
+``Conv2d.scales`` (a learned ``alpha`` Param, the scales stored at load, or
+the formula alpha = mean|W| in ``binarize.filter_alphas``), the estimator's
+gate in ``_sign_derivative`` (used by ``ste_backward_sign`` and
+``weight_gradient``, for inputs, weights and learned-scale weights alike),
+the input quantizer in ``_quantize``, and the full-precision first and last
+conv in ``_inner_convs``.
 
 Two block orderings are constructible: the conventional conv -> batchnorm ->
 binary activation -> pool, and the reordering batchnorm -> binary activation
@@ -229,10 +232,13 @@ class Layer:
 class Conv2d(Layer):
     """Convolution without bias; optionally binarizes weights and/or input.
 
-    With binarized weights, per-filter (alpha, B) is recomputed from the real
-    weights once per forward pass (Algorithm-1 ordering): by every train
-    forward, and in eval by the plan, which hands it to every image chunk;
-    ``binarize_count`` counts these, once per forward in both modes. With
+    With binarized weights, the conv uses W~ = alpha * sign(W), one alpha per
+    filter from ``scales()``: the learned ``alpha`` Param of a learned-scale
+    conv, the scales stored at load (``frozen_alphas``), or the formula
+    mean|W|. W~ is rebuilt from the real weights once per forward pass
+    (Algorithm-1 ordering): by every train forward, and in eval by the plan,
+    which hands it to every image chunk; ``binarize_count`` counts these,
+    once per forward in both modes. With
     binarized input it quantizes the incoming tensor, computes the
     per-window scale map from the real input, and multiplies it back into
     the conv output; the scale map is treated as a constant in backward.
@@ -243,14 +249,17 @@ class Conv2d(Layer):
     so the chunk size never changes a result. Where every product is an
     integer (+-1 inputs times +-1 weights) the output is exact; elsewhere it
     differs from other summation orders by float rounding only. Train and
-    eval run the same forward, which scales the product by K and then by the
-    learned scale; in eval, ``Network.forward`` hands it one image chunk at a
-    time with the plan's weights, and it never writes its input. A
-    train forward keeps the strided view of the padded input on its tape; the
-    backward copies it into a full-batch column matrix and takes the weight
-    gradient from it with one ``tensordot`` gemm. A binarized bank maps that
-    gradient back onto the real weights in one broadcast ``weight_gradient``
-    call. The input gradient scatters W.T @ g back with fh*fw strided adds.
+    eval run the same forward, which scales the product W~ @ columns by K,
+    whatever the source of alpha; in eval, ``Network.forward`` hands it one
+    image chunk at a time with the plan's weights, and it never writes its
+    input. A train forward keeps the strided view of the padded input on its
+    tape; the backward copies it into a full-batch column matrix and takes
+    the gradient w.r.t. W~ from it with one ``tensordot`` gemm. Only mapping
+    that gradient back depends on the scale's source: a formula scale goes
+    through one broadcast ``weight_gradient`` call, and a learned one gets
+    alpha's gradient, sign(W) . dW~ per filter, while W gets the estimator
+    applied to alpha * dW~. The input gradient scatters W~.T @ g back with
+    fh*fw strided adds.
 
     ``tensordot`` transposes the columns into a second copy before its gemm.
     One copy in (C*fh*fw, N*oh*ow) order, read transposed by the gemm, would
@@ -262,6 +271,8 @@ class Conv2d(Layer):
     def __init__(self, in_ch, out_ch, filt_hw, stride=1, pad=0, *,
                  binarize_weights=False, binarize_input=False, learned_scale=False,
                  k_bits=1, ste_variant="indicator", binary_gradient=False, rng=None):
+        if learned_scale and not binarize_weights:
+            raise ValueError("a learned scale multiplies binarized weights only")
         self.in_ch = in_ch
         self.out_ch = out_ch
         self.geom = ConvGeometry(filt_hw=tuple(filt_hw), stride=stride, pad=pad)
@@ -291,17 +302,24 @@ class Conv2d(Layer):
             ps.append(self.alpha)
         return ps
 
+    def scales(self):
+        """The per-filter alpha of the binarized weights alpha * sign(W): the
+        learned scale, else the scales stored at load, else mean|W|."""
+        if self.learned_scale:
+            return self.alpha.value
+        if self.frozen_alphas is not None:
+            return self.frozen_alphas
+        return filter_alphas(self.weight.value)
+
     def effective_weights(self):
-        """The tensor the convolution actually uses this step."""
+        """The tensor the convolution actually uses this step, and its
+        per-filter scales (None for full-precision weights)."""
         W = self.weight.value
         if not self.binarize_weights:
             return W, None
         self.binarize_count += 1
-        sgn = sign(W)
-        if self.learned_scale:
-            return sgn, None
-        alphas = filter_alphas(W) if self.frozen_alphas is None else self.frozen_alphas
-        return alphas[:, None, None, None] * sgn, alphas
+        alphas = self.scales()
+        return alphas[:, None, None, None] * sign(W), alphas
 
     def forward(self, x, train: bool, plan=None):
         x = np.asarray(x)
@@ -325,21 +343,15 @@ class Conv2d(Layer):
         out = _conv_columns(win, wtilde.reshape(self.out_ch, -1))
         if K is not None:
             out *= K[:, None]
-        pre_scale = None
-        if self.learned_scale and self.binarize_weights:
-            pre_scale, out = out, out * self.alpha.value[None, :, None, None]
         self._tape = None
         if train:
-            self._tape = (x.shape, win, wtilde, alphas, K, x if self.binarize_input else None, pre_scale)
+            self._tape = (x.shape, win, wtilde, alphas, K, x if self.binarize_input else None)
         return out
 
     def backward(self, g):
-        x_shape, win, wtilde, alphas, K, x_pre, pre_scale = self._pop_tape()
+        x_shape, win, wtilde, alphas, K, x_pre = self._pop_tape()
         g = np.asarray(g)
 
-        if self.learned_scale and self.binarize_weights:
-            self.alpha.grad = (g * pre_scale).sum(axis=(0, 2, 3)).astype(self.alpha.value.dtype)
-            g = g * self.alpha.value[None, :, None, None]
         if self.binarize_input:
             g = g * K[:, None]
 
@@ -357,14 +369,16 @@ class Conv2d(Layer):
         if self.binarize_input:
             gx = ste_backward_sign(gx, x_pre, self.ste_variant)
 
-        if self.binarize_weights and not self.learned_scale:
-            gw = weight_gradient(gwtilde, self.weight.value, alphas, self.ste_variant)
+        W = self.weight.value
+        if self.learned_scale:
+            # W~ = alpha * sign(W) with alpha a parameter of its own
+            self.alpha.grad = (gwtilde * sign(W)).sum(axis=(1, 2, 3)).astype(self.alpha.value.dtype)
+            gw = ste_backward_sign(alphas[:, None, None, None] * gwtilde, W, self.ste_variant)
         elif self.binarize_weights:
-            # W~ = sign(W): the learned scale is already in g, and so in gwtilde
-            gw = ste_backward_sign(gwtilde, self.weight.value, self.ste_variant)
+            gw = weight_gradient(gwtilde, W, alphas, self.ste_variant)
         else:
             gw = gwtilde
-        self.weight.grad = gw.astype(self.weight.value.dtype)
+        self.weight.grad = gw.astype(W.dtype)
         return gx
 
 
@@ -751,7 +765,8 @@ def build_network(specs: list[LayerSpec], input_shape, seed: int = 0, *,
     spatial extents along the chain.
 
     The first and last trainable layers are forced to full precision even if
-    their specs carry binarization flags.
+    their specs carry binarization flags, and a conv without binarized
+    weights drops its spec's learned scale.
     """
     specs = [replace(s) for s in specs]
     if any(s.kind == "softmax-nll" for s in specs[:-1]):
@@ -770,7 +785,7 @@ def build_network(specs: list[LayerSpec], input_shape, seed: int = 0, *,
             layer = Conv2d(c, s.out_ch, filt_hw, stride=s.stride, pad=s.pad,
                            binarize_weights=s.binarize_weights,
                            binarize_input=s.binarize_input,
-                           learned_scale=s.learned_scale,
+                           learned_scale=s.learned_scale and s.binarize_weights,
                            k_bits=k_bits, ste_variant=ste_variant,
                            binary_gradient=binary_gradient, rng=rng)
             c = s.out_ch

@@ -1,4 +1,5 @@
-"""Every package and test module reads each name it imports at top level."""
+"""Every package, test and benchmark module reads each name it imports at
+top level."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*ROOT.glob("src/xbnn/*.py"), *ROOT.glob("tests/*.py")])
+MODULES = sorted([*ROOT.glob("src/xbnn/*.py"), *ROOT.glob("tests/*.py"),
+                  *ROOT.glob("perfbench/*.py")])
 
 
 def unread_imports(source: str) -> list[str]:

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from xbnn import modelio
 from xbnn.modelio import (
@@ -285,6 +287,18 @@ class TestErrors:
         with pytest.raises(ModelIOError, match="packed"):
             load(path)
 
+    def test_learned_scale_without_binarized_weights_rejected(self, tmp_path):
+        # a raw 1->4 3x3 conv record with the learned-scale flag alone, and
+        # the 4 float32 scales such a record holds after its weights
+        path = conv_file(tmp_path / "m.xbn", struct.pack("<BB6H", 1, 4, 4, 1, 3, 3, 1, 1)
+                         + bytes(4 * 4 * 9) + struct.pack("<4f", 1, 1, 1, 1))
+        with pytest.raises(ModelIOError, match="learned-scale conv record without binarized"):
+            load(path)
+        raw = bytearray(path.read_bytes())
+        raw[21] |= 1  # with binarized weights it is a learned-scale binconv
+        path.write_bytes(bytes(raw))
+        assert load(path).layers[0].alpha.value.tolist() == [1.0] * 4
+
     @pytest.mark.parametrize("flags, dims", [(0, (1024, 1024, 3, 3)), (1 | 8, (1024, 1024, 3, 3)),
                                              (0, (65535,) * 4)], ids=["raw", "packed", "u16-limits"])
     def test_conv_header_bigger_than_file_rejected_before_allocating(self, tmp_path, flags, dims):
@@ -397,6 +411,72 @@ class TestErrors:
         path.write_bytes(bytes(raw))
         with pytest.raises(ModelIOError, match="k_bits"):
             load(path)
+
+
+def fuzz_net(mode):
+    """A net with a learned-scale binconv (outside full mode), BatchNorm,
+    binactiv and both pool kinds, trained one step."""
+    specs = [LayerSpec(kind="conv", out_ch=3, k=3, pad=1), LayerSpec(kind="batchnorm"),
+             LayerSpec(kind="binactiv"), LayerSpec(kind="maxpool", k=2),
+             LayerSpec(kind="binconv", out_ch=4, k=3, pad=1, learned_scale=True),
+             LayerSpec(kind="relu"), LayerSpec(kind="avgpool", k=2),
+             LayerSpec(kind="conv", out_ch=5)]
+    net = build_network(apply_mode(specs, mode), (2, 8, 8), seed=1)
+    rng = np.random.default_rng(2)
+    images = rng.normal(size=(8, 2, 8, 8)).astype(np.float32)
+    train_step(net, (images, rng.integers(0, 5, 8)), SGDMomentum(lr=0.05))
+    return net
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """(bytes of every saved full, bwn and xnor net, raw and packed; a path to
+    write mutants to)."""
+    d = tmp_path_factory.mktemp("fuzz")
+    files = []
+    for mode in ("full", "bwn", "xnor"):
+        net = fuzz_net(mode)
+        for pack in (False, True):
+            save(net, d / "m.xbn", pack_binarized=pack)
+            files.append((d / "m.xbn").read_bytes())
+    return files, d / "mutant.xbn"
+
+
+@st.composite
+def mutations(draw, n_files):
+    """(file index, truncation length or None, [(offset, byte)] of 1-3
+    rewritten bytes, or none when truncating)."""
+    index = draw(st.integers(0, n_files - 1))
+    if draw(st.booleans()):
+        return index, draw(st.integers(0, 1 << 16)), []
+    edits = draw(st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)),
+                          min_size=1, max_size=3))
+    return index, None, edits
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_files_load_or_raise_model_io_errors(saved_files, data):
+    # a truncated file, or one with 1-3 bytes rewritten, either raises a
+    # ModelIOError or loads a net that describes, and evaluates 2 images
+    # when its input holds at most 65,536 values
+    files, path = saved_files
+    index, cut, edits = data.draw(mutations(len(files)))
+    raw = bytearray(files[index])
+    if cut is not None:
+        raw = raw[:cut % len(raw)]
+    for offset, byte in edits:
+        raw[offset % len(raw)] = byte
+    path.write_bytes(bytes(raw))
+    try:
+        net = load(path)
+    except ModelIOError:
+        return
+    describe(net)
+    if np.prod(net.input_shape) <= 1 << 16:
+        x = np.random.default_rng(0).normal(size=(2, *net.input_shape)).astype(np.float32)
+        with np.errstate(all="ignore"):
+            assert net.logits(x).shape[0] == 2
 
 
 class TestKBits:

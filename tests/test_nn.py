@@ -514,7 +514,8 @@ class TestConvReferenceEquivalence:
             np.testing.assert_array_equal(a, b)
 
     @settings(max_examples=100, deadline=None)
-    @given(conv_cases(kinds=("bwn", "xnor")), st.sampled_from(["indicator", "scaled"]))
+    @given(conv_cases(kinds=("bwn", "xnor", "xnor-learned")),
+           st.sampled_from(["indicator", "scaled"]))
     def test_binarized_weight_gradient_equals_per_filter_calls(self, case, variant):
         # the gradient w.r.t. W~ does not depend on W~, so a full-precision
         # twin with the same input handling has it as its weight gradient
@@ -529,11 +530,42 @@ class TestConvReferenceEquivalence:
         for conv in (layer, twin):
             conv.forward(x, train=True)
             conv.backward(g)
-        alphas = filter_alphas(W)
-        want = np.stack([weight_gradient(twin.weight.grad[k], W[k], float(alphas[k]), variant)
-                         for k in range(layer.out_ch)])
+        if layer.learned_scale:
+            # W~ = alpha * sign(W): alpha gets sign(W) . dW~ per filter, and W
+            # the estimator applied to alpha * dW~
+            alpha = layer.alpha.value
+            want = ste_backward_sign(alpha[:, None, None, None] * twin.weight.grad, W, variant)
+            np.testing.assert_array_equal(layer.alpha.grad,
+                                          (twin.weight.grad * sign(W)).sum(axis=(1, 2, 3)))
+        else:
+            alphas = filter_alphas(W)
+            want = np.stack([weight_gradient(twin.weight.grad[k], W[k], float(alphas[k]), variant)
+                             for k in range(layer.out_ch)])
         assert layer.weight.grad.dtype == want.dtype
         np.testing.assert_array_equal(layer.weight.grad, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(conv_cases(kinds=("bwn", "xnor")), st.booleans())
+    def test_learned_scale_at_formula_value_equals_formula_conv(self, case, binary_gradient):
+        # one binarized-weight form: a learned scale set to mean|W| builds the
+        # same alpha * sign(W) as the formula, so forward and input gradient
+        # are the formula conv's bit for bit
+        formula, n, h, w, rng = case
+        formula.binary_gradient = binary_gradient
+        learned = Conv2d(formula.in_ch, formula.out_ch, formula.geom.filt_hw,
+                         formula.geom.stride, formula.geom.pad, binarize_weights=True,
+                         binarize_input=formula.binarize_input, learned_scale=True,
+                         binary_gradient=binary_gradient)
+        W = formula.weight.value
+        learned.weight.value = W.copy()
+        learned.alpha.value = filter_alphas(W)
+        x = rng.normal(size=(n, formula.in_ch, h, w)).astype(W.dtype)
+        g = rng.normal(size=(n, formula.out_ch, *formula.geom.out_hw((h, w)))).astype(W.dtype)
+        got, want = ([conv.forward(x, train=False), conv.forward(x, train=True), conv.backward(g)]
+                     for conv in (learned, formula))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(conv_cases(), st.sampled_from([3, 5, 7]))
@@ -1223,8 +1255,9 @@ class TestSpecsAndModes:
                 build_network(specs, (1, 6, 6))
 
     def test_full_precision_convs_have_no_learned_scale(self):
-        # a learned scale multiplies binarized weights only: the end convs and
-        # every conv in full mode drop it, so every parameter gets a gradient
+        # a learned scale multiplies binarized weights only: the end convs,
+        # every conv in full mode and every conv whose spec leaves its weights
+        # real drop it, so every parameter gets a gradient
         specs = [LayerSpec(kind="conv", out_ch=4, k=3, pad=1, learned_scale=True),
                  LayerSpec(kind="maxpool", k=2),
                  LayerSpec(kind="binconv", out_ch=4, k=3, pad=1, learned_scale=True),
@@ -1234,6 +1267,9 @@ class TestSpecsAndModes:
             first, _, last = built.conv_layers()
             assert [p.name for p in first.params()] == ["weight"]
             assert [p.name for p in last.params()] == ["weight"]
+        assert build_network(specs, (1, 6, 6), seed=0).conv_layers()[1].alpha is None
+        with pytest.raises(ValueError, match="binarized weights only"):
+            Conv2d(1, 2, (1, 1), learned_scale=True)
         assert [p.name for p in net.conv_layers()[1].params()] == ["weight", "alpha"]
         rng = np.random.default_rng(25)
         images = rng.normal(size=(4, 1, 6, 6)).astype(np.float32)
