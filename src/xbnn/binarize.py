@@ -6,8 +6,8 @@ is the exact minimizer of ||W - alpha*B||^2 over B in {+-1}^n, alpha > 0; the
 brute-force check in the test suite enumerates all sign patterns to confirm.
 ``filter_alphas`` is the one place alpha is computed: the packed filters and
 the training layers (``nn.Conv2d.scales``, which the packed model export
-also reads) call it, so a packed file reproduces the scales training used
-bit for bit.
+also reads) call it. It gives back alpha exactly from alpha * sign, so a
+conv loaded from a packed file recomputes the scales it was saved with.
 """
 
 from __future__ import annotations
@@ -54,9 +54,15 @@ class BetaMap:
 
 def filter_alphas(bank) -> np.ndarray:
     """alpha = mean(|W|) of every filter of a (K, ...) bank: shape (K,), in
-    the bank's dtype."""
-    bank = np.asarray(bank)
-    return np.abs(bank.reshape(len(bank), -1)).mean(axis=1)
+    the bank's float dtype (float64 for integers).
+
+    The sum is taken in float64. Every partial sum of n float32 copies of
+    alpha is j * alpha for some j <= n, which float64 holds exactly for
+    n <= 2**29, so the mean of |alpha * sign(W)| is alpha bit for bit. A
+    float32 sum rounds those partial sums and often misses alpha by a step.
+    """
+    flat = np.abs(np.asarray(bank).reshape(len(bank), -1))
+    return (flat.sum(axis=1, dtype=np.float64) / flat.shape[1]).astype(np.result_type(flat, 1.0))
 
 
 def binarize_weights(W) -> BinarizedFilter:

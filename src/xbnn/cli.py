@@ -30,7 +30,7 @@ import numpy as np
 from .binarize import binarize_weights, compute_beta_map
 from .data import DatasetError, ingest
 from .kernels import OpCounters, conv2d_reference, conv_xnor_layer, im2col
-from .modelio import ModelIOError, describe, load, save
+from .modelio import _MAX_K_BITS, ModelIOError, describe, load, save
 from .nn import LayerSpec, apply_mode, build_network, conv_block
 from .tensor import ConvGeometry, ShapeError, sign
 from .train import PolynomialDecay, StepDecay, evaluate, fit, make_optimizer
@@ -479,7 +479,7 @@ def build_parser() -> _Parser:
     add_training(p_train)
     p_train.add_argument("--mode", choices=["full", "bwn", "xnor"])
     p_train.add_argument("--optimizer", choices=["", "sgd", "adam"])
-    p_train.add_argument("--k-bits", type=int)
+    p_train.add_argument("--k-bits", type=int, choices=range(1, _MAX_K_BITS + 1))
     p_train.add_argument("--gradient-variant", choices=["indicator", "scaled"])
     p_train.add_argument("--binary-gradient", action="store_true")
     p_train.add_argument("--no-clamp", action="store_true")

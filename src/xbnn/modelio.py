@@ -7,16 +7,18 @@ File layout (all little-endian):
 
 A conv's flags byte keeps the k_bits of its input quantizer, minus one, in
 its high nibble. A binarized conv evaluates alpha * sign(W), and
-``Conv2d.scales`` gives its per-filter alpha: the learned scale, the scales
-stored at load, or mean|W|. A learned scale or a packed payload needs the
-binarized-weights flag. Conv payloads are either raw float32 weights
-(training checkpoints), followed by the learned scales if the conv has them,
-or the packed form: per filter ceil(n/64) uint64 sign words (bitpack layout)
-followed by the float32 ``scales()``, one per filter. Loading a packed
-convolution gives back a binarized conv: with a learned scale, sign weights
-and the stored scales as that scale; otherwise weights alpha * sign, whose
-stored scales its binarizing keeps (``frozen_alphas``) until it trains. So
-an exported model evaluates bit-identically without the real-valued weights.
+``Conv2d.scales`` gives its per-filter alpha: the learned scale, or else
+mean|W|. A learned scale or a packed payload needs the binarized-weights
+flag. Conv payloads are either raw float32 weights (training checkpoints),
+followed by the learned scales if the conv has them, or the packed form:
+per filter ceil(n/64) uint64 sign words (bitpack layout) followed by the
+float32 ``scales()``, one per filter. Loading a packed convolution gives
+back a binarized conv: with a learned scale, sign weights and the stored
+scales as that scale; otherwise weights alpha * sign, whose mean|W| is the
+stored alpha bit for bit (``binarize.filter_alphas``). So an exported model
+evaluates bit-identically without the real-valued weights. A mean|W| is
+never negative or non-finite in a file: ``save`` refuses to pack such a
+scale and ``load`` rejects it, while a learned scale may take any value.
 
 A pool header keeps a stride field, always equal to the window size.
 
@@ -107,11 +109,7 @@ def _write_conv(fh, layer: Conv2d, pack_binarized: bool) -> None:
         flags |= _FLAG_BIN_INPUT
     if layer.learned_scale:
         flags |= _FLAG_LEARNED_SCALE
-    # a layer that keeps its loaded scales is always written packed: it has
-    # no real-valued weights to keep, and written raw, the next load would
-    # recompute its scales as a float32 mean of alpha * sign, which does not
-    # reproduce them
-    packed = layer.binarize_weights and (pack_binarized or layer.frozen_alphas is not None)
+    packed = layer.binarize_weights and pack_binarized
     if packed:
         flags |= _FLAG_PACKED
     fh.write(struct.pack("<BB", _KIND_CONV, flags))
@@ -138,8 +136,9 @@ def _read_conv(fh, flags: int) -> Conv2d:
         raise ModelIOError("packed or learned-scale conv record without binarized weights")
     packed = bool(flags & _FLAG_PACKED)
     learned = bool(flags & _FLAG_LEARNED_SCALE)
-    # check the payload against the file before building a layer of that size
-    payload = out_ch * (filter_bytes(n, packed) + 4 * (learned and not packed))
+    # check the payload against the file before building a layer of that
+    # size; describe prices the record the same way
+    payload = memory_footprint([(out_ch, n, packed, learned)], "binary" if packed else "float32")
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if payload > left:
         raise TruncatedFileError(f"truncated conv payload: its header names {payload} bytes, "
@@ -154,14 +153,13 @@ def _read_conv(fh, flags: int) -> Conv2d:
         raw = _read(fh, out_ch * n_words * 8, "packed filter words")
         words = np.frombuffer(raw, dtype="<u8").reshape(out_ch, n_words)
         alphas = np.frombuffer(_read(fh, out_ch * 4, "filter scales"), dtype="<f4").copy()
+        _check_scales(layer, alphas)
         signs = bits_to_signs(unpack_bank(words, n)).reshape(out_ch, in_ch, fh_, fw_)
         if learned:
             # keep the sign weights and the learned scale as separate pieces
-            layer.weight.value = signs.astype(np.float32)
-            layer.alpha.value = alphas.astype(np.float32)
+            layer.weight.value, layer.alpha.value = signs, alphas
         else:
-            layer.weight.value = (alphas[:, None, None, None] * signs).astype(np.float32)
-            layer.frozen_alphas = alphas.astype(np.float32)
+            layer.weight.value = alphas[:, None, None, None] * signs
     else:
         raw = _read(fh, out_ch * n * 4, "conv weights")
         layer.weight.value = np.frombuffer(raw, dtype="<f4").reshape(
@@ -214,6 +212,14 @@ def _read_batchnorm(fh) -> BatchNorm2d:
     return layer
 
 
+def _check_scales(layer: Conv2d, alphas) -> None:
+    """Raise ModelIOError for a negative or non-finite mean|W| scale, which
+    ``save`` never writes; a learned scale may take any value."""
+    if not layer.learned_scale and (np.signbit(alphas).any() or not np.isfinite(alphas).all()):
+        raise ModelIOError("packed conv scale is negative or not finite; a mean|W| "
+                           "scale is neither")
+
+
 def _check_k_bits(k_bits: int) -> None:
     if not 1 <= k_bits <= _MAX_K_BITS:
         raise ModelIOError(f"k_bits={k_bits} does not fit a model file (1 to {_MAX_K_BITS})")
@@ -221,15 +227,15 @@ def _check_k_bits(k_bits: int) -> None:
 
 def save(net: Network, path, *, pack_binarized: bool = False) -> None:
     """Serialize a network; ``pack_binarized=True`` stores binarized-weight
-    convolutions as 1-bit sign words plus per-filter scales. A convolution
-    loaded from packed bits without a learned scale has no real-valued
-    weights until it trains, so until then it is always stored packed and
-    re-saves byte for byte; one with a learned scale keeps its signs as real
-    weights and, like any other, is stored packed only with
-    ``pack_binarized=True``."""
+    convolutions as 1-bit sign words plus per-filter scales, and every other
+    layer as it is. A network loaded from a file ``save`` packed re-saves
+    packed to the same bytes. Raises ModelIOError, before the file is
+    opened, for a network ``load`` would reject."""
     for layer in net.layers:
         if isinstance(layer, (Conv2d, BinaryActivation)):
             _check_k_bits(layer.k_bits)
+        if isinstance(layer, Conv2d) and layer.binarize_weights and pack_binarized:
+            _check_scales(layer, layer.scales().astype(np.float32))
     _check_chain(net.layers, net.input_shape)
     path = Path(path)
     with open(path, "wb") as fh:
@@ -314,8 +320,11 @@ def memory_footprint(arch, mode: str = "binary") -> int:
 
     ``arch`` entries are either plain ints (full-precision parameter blobs:
     batchnorm params, biases, embeddings) or (filters, n, binarized) tuples
-    for convolution banks. mode="float32" prices everything at 4 bytes per
-    parameter; mode="binary" packs the banks marked binarized.
+    for convolution banks, with an optional fourth field that is True for a
+    bank with a learned scale per filter. mode="float32" prices everything
+    at 4 bytes per parameter, learned scales included; mode="binary" packs
+    the banks marked binarized, whose packed filters each hold their one
+    scale, learned or not.
     """
     if mode not in ("float32", "binary"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -324,9 +333,9 @@ def memory_footprint(arch, mode: str = "binary") -> int:
         if isinstance(entry, (int, np.integer)):
             total += 4 * int(entry)
             continue
-        filters, n, binarized = entry
+        filters, n, binarized, *learned = entry
         if mode == "float32":
-            total += 4 * filters * n
+            total += 4 * filters * (n + any(learned))
         else:
             total += filters * filter_bytes(n, binarized)
     return total
@@ -336,8 +345,7 @@ def _layer_arch(layer: Layer) -> list:
     """One layer's entries in memory_footprint terms."""
     if isinstance(layer, Conv2d):
         n = layer.in_ch * layer.geom.filt_hw[0] * layer.geom.filt_hw[1]
-        scales = [layer.out_ch] if layer.learned_scale else []
-        return [(layer.out_ch, n, layer.binarize_weights)] + scales
+        return [(layer.out_ch, n, layer.binarize_weights, layer.learned_scale)]
     if isinstance(layer, BatchNorm2d):
         return [4 * layer.channels]
     return []
@@ -350,7 +358,8 @@ def network_arch(net: Network) -> list:
 
 def describe(net: Network) -> str:
     """Human-readable layer table with per-layer storage at both precisions;
-    the rows are priced by memory_footprint, so they sum to the totals."""
+    the rows are priced by memory_footprint, so they sum to the totals. Each
+    row is its record's payload in a raw and in a packed file."""
     lines = [f"{'idx':>3} {'layer':<14} {'detail':<34} {'float B':>10} {'binary B':>10}"]
     for i, layer in enumerate(net.layers):
         name, detail = type(layer).__name__.lower(), ""

@@ -12,9 +12,9 @@ extent, and the pools and ``_col2im`` their window taps, from a
 chunk of images at a time (about 1 MiB of columns, so a chunk stays in L2)
 and never holds a whole batch of columns; the backward builds them once.
 Binarized layers recompute their sign/scale factorization from the
-real-valued weights once per forward pass (a conv loaded from packed bits
-keeps its stored scales until its first train-mode forward), so the
-optimizer only ever touches real parameters. Gradients flow through the
+real-valued weights once per forward pass, so the optimizer only ever
+touches real parameters; a conv loaded from packed bits holds alpha * sign
+as its weights, whose mean|W| is alpha again. Gradients flow through the
 binarized weights, with the straight-through estimator standing in for the
 sign function's derivative.
 
@@ -39,9 +39,9 @@ sign(NaN) = -1 does not pass NaN on (see ``_pool_first``).
 
 Each binarization rule is written once: the binarized weights alpha *
 sign(W) in ``Conv2d.effective_weights``, whose per-filter alpha comes from
-``Conv2d.scales`` (a learned ``alpha`` Param, the scales stored at load, or
-the formula alpha = mean|W| in ``binarize.filter_alphas``), the estimator's
-gate in ``_sign_derivative`` (used by ``ste_backward_sign`` and
+``Conv2d.scales`` (a learned ``alpha`` Param, or else the formula alpha =
+mean|W| in ``binarize.filter_alphas``), the estimator's gate in
+``_sign_derivative`` (used by ``ste_backward_sign`` and
 ``weight_gradient``, for inputs, weights and learned-scale weights alike),
 the input quantizer in ``_quantize``, and the full-precision first and last
 conv in ``_inner_convs``.
@@ -234,12 +234,12 @@ class Conv2d(Layer):
 
     With binarized weights, the conv uses W~ = alpha * sign(W), one alpha per
     filter from ``scales()``: the learned ``alpha`` Param of a learned-scale
-    conv, the scales stored at load (``frozen_alphas``), or the formula
-    mean|W|. W~ is rebuilt from the real weights once per forward pass
-    (Algorithm-1 ordering): by every train forward, and in eval by the plan,
-    which hands it to every image chunk; ``binarize_count`` counts these,
-    once per forward in both modes. With
-    binarized input it quantizes the incoming tensor, computes the
+    conv, or else the formula mean|W|. W~ is rebuilt from the real weights
+    once per forward pass (Algorithm-1 ordering): by every train forward,
+    and in eval by the plan, which hands it to every image chunk;
+    ``binarize_count`` counts these, once per forward in both modes. A conv
+    loaded from packed bits holds alpha * sign as W, whose mean|W| is alpha.
+    With binarized input it quantizes the incoming tensor, computes the
     per-window scale map from the real input, and multiplies it back into
     the conv output; the scale map is treated as a constant in backward.
 
@@ -291,10 +291,6 @@ class Conv2d(Layer):
         if learned_scale:
             self.alpha = Param("alpha", np.ones(out_ch, dtype=np.float32))
         self.binarize_count = 0
-        # the stored per-filter scales of weights loaded from packed bits as
-        # alpha * sign: the float32 mean|alpha * sign| need not give alpha
-        # back, so binarizing uses them until a train-mode forward drops them
-        self.frozen_alphas = None
 
     def params(self):
         ps = [self.weight]
@@ -304,11 +300,9 @@ class Conv2d(Layer):
 
     def scales(self):
         """The per-filter alpha of the binarized weights alpha * sign(W): the
-        learned scale, else the scales stored at load, else mean|W|."""
+        learned scale, else mean|W|."""
         if self.learned_scale:
             return self.alpha.value
-        if self.frozen_alphas is not None:
-            return self.frozen_alphas
         return filter_alphas(self.weight.value)
 
     def effective_weights(self):
@@ -325,8 +319,6 @@ class Conv2d(Layer):
         x = np.asarray(x)
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise ShapeError(f"expected (N, {self.in_ch}, H, W), got {x.shape}")
-        if train:
-            self.frozen_alphas = None  # training moves W: alpha is mean|W| again
         wtilde, alphas = self.effective_weights() if plan is None else plan[self]
 
         K = None
@@ -657,14 +649,12 @@ class LayerSpec:
 
 def _inner_convs(specs: list[LayerSpec]) -> list[LayerSpec]:
     """Make the first and last conv of `specs` full precision, in place, and
-    return the convs between them. A full-precision conv has no learned
-    scale: it only scales binarized weights."""
+    return the convs between them."""
     convs = [s for s in specs if s.kind in ("conv", "binconv")]
     for s in convs[:1] + convs[-1:]:
         s.kind = "conv"
         s.binarize_weights = False
         s.binarize_input = False
-        s.learned_scale = False
     return convs[1:-1]
 
 
@@ -681,7 +671,6 @@ def apply_mode(specs: list[LayerSpec], mode: str) -> list[LayerSpec]:
         s.kind = "conv" if mode == "full" else "binconv"
         s.binarize_weights = mode != "full"
         s.binarize_input = mode == "xnor"
-        s.learned_scale = s.learned_scale and s.binarize_weights
     return out
 
 

@@ -71,19 +71,45 @@ class TestBinarizeWeights:
         assert f2.alpha == pytest.approx(2.5 * f1.alpha)
 
 
+F32_SUBNORMALS = (float(np.finfo(np.float32).smallest_subnormal),
+                  float(np.nextafter(np.finfo(np.float32).smallest_normal, np.float32(0))))
+F32_MID = (float(np.float32(1e-30)), float(np.float32(1e30)))
+
+
 class TestFilterAlphas:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 299), st.integers(1, 5),
            st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
     def test_equals_per_axis_and_flat_means(self, k_out, c, k, dtype, seed):
         # the forms training (mean over (c, fh, fw)) and the packed filters
-        # (mean of the flattened filter) used before they shared this one
+        # (mean of the flattened filter) used before they shared this one; a
+        # float32 bank is summed in float64, then its mean cast back
         bank = np.random.default_rng(seed).normal(size=(k_out, c, k, k)).astype(dtype)
         alphas = filter_alphas(bank)
         assert alphas.dtype == dtype
-        np.testing.assert_array_equal(alphas, np.abs(bank).mean(axis=(1, 2, 3)))
+        n = c * k * k
+        if dtype == np.float32:
+            want = (np.abs(bank).sum(axis=(1, 2, 3), dtype=np.float64) / n).astype(np.float32)
+        else:
+            want = np.abs(bank).mean(axis=(1, 2, 3))
+        np.testing.assert_array_equal(alphas, want)
         for w, alpha in zip(bank, alphas):
-            assert binarize_weights(w).alpha == float(np.abs(w.reshape(-1)).mean()) == alpha
+            flat = np.abs(w.reshape(-1))
+            mean = flat.mean() if dtype == np.float64 else flat.sum(dtype=np.float64) / n
+            assert binarize_weights(w).alpha == float(dtype(mean)) == alpha
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.just(0.0), st.floats(*F32_SUBNORMALS, width=32),
+                     st.floats(*F32_MID, width=32), st.just(float(np.finfo(np.float32).max))),
+           st.integers(1, 5000), st.integers(0, 2**32 - 1))
+    def test_gives_alpha_back_from_alpha_times_signs(self, alpha, n, seed):
+        # what a conv loaded from packed bits recomputes: alpha, bit for bit,
+        # from its weights alpha * sign; n crosses many 64-bit word boundaries
+        alpha = np.float32(alpha)
+        signs = np.where(np.random.default_rng(seed).random((2, n)) < 0.5, -1, 1)
+        bank = (alpha * signs).astype(np.float32)
+        np.testing.assert_array_equal(filter_alphas(bank), [alpha, alpha])
+        assert binarize_weights(bank[0]).alpha == alpha
 
 
 def oracle_window_mean(planes, geom):

@@ -133,6 +133,20 @@ class TestExitCodes:
         assert rc == 1
         assert "arch line 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k_bits", ["-1", "0", "17"])
+    def test_k_bits_outside_the_file_range_fails_before_reading_data(
+            self, data_dir, arch_file, tmp_path, k_bits, monkeypatch, capsys):
+        def no_ingest(*args):
+            raise AssertionError("train read the data")
+
+        monkeypatch.setattr("xbnn.cli.ingest", no_ingest)
+        out = tmp_path / "run"
+        rc = cli_main(["train", "--arch", str(arch_file), "--data", str(data_dir),
+                       "--k-bits", k_bits, "--out", str(out)])
+        assert rc == 1
+        assert f"argument --k-bits: invalid choice: {k_bits}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_model_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.xbn"
         bad.write_bytes(b"NOPE" + b"\x00" * 32)

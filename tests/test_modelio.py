@@ -130,10 +130,9 @@ class TestPackedExport:
 
     @pytest.mark.parametrize("mode", ["bwn", "xnor", "learned"])
     def test_packed_resave_identical_bytes(self, tmp_path, mode):
-        # a loaded packed layer keeps its 1-bit flag and its stored scales;
-        # one without a learned scale has no real weights, so it stays
-        # packed even when the re-save does not ask for packing; one with a
-        # learned scale keeps its signs as real weights and is written raw
+        # a loaded packed layer keeps its 1-bit flag and its stored scales,
+        # so a packed re-save writes the same bytes; a raw re-save writes its
+        # weights (alpha * sign, or the signs beside a learned scale) in full
         for seed in range(5):
             if mode == "learned":
                 rng = np.random.default_rng(seed)
@@ -153,7 +152,7 @@ class TestPackedExport:
             for pack in (True, False):
                 again = tmp_path / f"{mode}{seed}_{pack}.xbn"
                 save(load(first), again, pack_binarized=pack)
-                if pack or mode != "learned":
+                if pack:
                     assert again.read_bytes() == first.read_bytes()
                 else:
                     assert again.stat().st_size > first.stat().st_size
@@ -190,6 +189,19 @@ class TestPackedExport:
             sizes.append((tmp_path / "tuned.xbn").stat().st_size)
         # trained, it has real-valued weights again, which a raw save keeps
         assert sizes[0] > sizes[1]
+
+    @pytest.mark.parametrize("binarize_input", [False, True], ids=["bwn", "xnor"])
+    def test_loaded_packed_conv_scales_are_the_files(self, tmp_path, binarize_input):
+        # a loaded formula-scale conv recomputes mean|alpha * sign| = alpha
+        conv = Conv2d(16, 64, (3, 3), pad=1, binarize_weights=True,
+                      binarize_input=binarize_input, rng=np.random.default_rng(3))
+        path = tmp_path / "m.xbn"
+        save(Network([conv], (16, 4, 4)), path, pack_binarized=True)
+        stored = np.frombuffer(path.read_bytes()[-4 * 64:], dtype="<f4")  # the last field
+        np.testing.assert_array_equal(stored, conv.scales())
+        loaded = load(path).layers[0]
+        np.testing.assert_array_equal(loaded.scales(), stored)
+        assert loaded.scales().dtype == np.float32
 
     def test_packed_learned_scale_evaluates_identically(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -298,6 +310,47 @@ class TestErrors:
         raw[21] |= 1  # with binarized weights it is a learned-scale binconv
         path.write_bytes(bytes(raw))
         assert load(path).layers[0].alpha.value.tolist() == [1.0] * 4
+
+    @pytest.mark.parametrize("scale, loads", [
+        ("-alpha", False), (np.nan, False), (np.inf, False), (-0.0, False), (0.0, True),
+        (float(np.finfo(np.float32).smallest_subnormal), True),
+    ], ids=["negated", "nan", "inf", "negative-zero", "zero", "subnormal"])
+    def test_packed_formula_scale_is_one_save_can_write(self, tmp_path, scale, loads):
+        conv = Conv2d(2, 3, (3, 3), pad=1, binarize_weights=True, rng=np.random.default_rng(0))
+        path = tmp_path / "m.xbn"
+        save(Network([conv], (2, 4, 4)), path, pack_binarized=True)
+        raw = bytearray(path.read_bytes())
+        at = len(raw) - 4  # the last filter's scale, the file's last field
+        alpha, = struct.unpack_from("<f", raw, at)
+        struct.pack_into("<f", raw, at, -alpha if scale == "-alpha" else scale)
+        path.write_bytes(bytes(raw))
+        if not loads:
+            with pytest.raises(ModelIOError, match="scale is negative or not finite"):
+                load(path)
+            return
+        loaded = load(path).layers[0]
+        assert loaded.scales()[-1] == np.float32(scale)
+        save(Network([loaded], (2, 4, 4)), tmp_path / "again.xbn", pack_binarized=True)
+        np.testing.assert_array_equal(load(tmp_path / "again.xbn").layers[0].scales(),
+                                      loaded.scales())
+
+    def test_save_refuses_to_pack_a_scale_load_rejects(self, tmp_path):
+        conv = Conv2d(2, 3, (3, 3), pad=1, binarize_weights=True, rng=np.random.default_rng(0))
+        conv.weight.value[1, 0, 0, 0] = np.inf
+        net, path = Network([conv], (2, 4, 4)), tmp_path / "m.xbn"
+        with pytest.raises(ModelIOError, match="scale is negative or not finite"):
+            save(net, path, pack_binarized=True)
+        assert not path.exists()
+        save(net, path)  # a raw record holds the weights, not their scales
+        assert np.isinf(load(path).layers[0].scales()[1])
+
+    def test_packed_learned_scale_keeps_any_value(self, tmp_path):
+        conv = Conv2d(2, 3, (3, 3), pad=1, binarize_weights=True, learned_scale=True,
+                      rng=np.random.default_rng(0))
+        conv.alpha.value = np.array([-0.5, np.inf, 0.0], dtype=np.float32)
+        path = tmp_path / "m.xbn"
+        save(Network([conv], (2, 4, 4)), path, pack_binarized=True)
+        np.testing.assert_array_equal(load(path).layers[0].alpha.value, conv.alpha.value)
 
     @pytest.mark.parametrize("flags, dims", [(0, (1024, 1024, 3, 3)), (1 | 8, (1024, 1024, 3, 3)),
                                              (0, (65535,) * 4)], ids=["raw", "packed", "u16-limits"])
@@ -586,6 +639,21 @@ class TestMemoryFootprint:
         total = lines[-1].replace(";", "").split()
         assert sum(int(r[-2]) for r in rows) == int(total[2])
         assert sum(int(r[-1]) for r in rows) == int(total[5])
+
+    @pytest.mark.parametrize("mode", ["full", "bwn", "xnor", "learned"])
+    def test_describe_totals_are_the_file_payloads(self, tmp_path, mode):
+        # a file is its 20-byte header, then per layer its kind and flags
+        # bytes, its kind's header and the payload describe prices
+        heads = {Conv2d: 2 + 12, BatchNorm2d: 2 + 6, ReLU: 2, BinaryActivation: 2 + 1,
+                 MaxPool2d: 2 + 4, AvgPool2d: 2 + 4}
+        net = fuzz_net("bwn") if mode == "learned" else random_net(8, mode=mode)
+        assert any(c.learned_scale for c in net.conv_layers()) == (mode == "learned")
+        total = describe(net).splitlines()[-1].replace(";", "").split()
+        fixed = 20 + sum(heads[type(layer)] for layer in net.layers)
+        path = tmp_path / "m.xbn"
+        for pack, column in ((False, 2), (True, 5)):
+            save(net, path, pack_binarized=pack)
+            assert fixed + int(total[column]) == path.stat().st_size, pack
 
     def test_describe_mentions_totals(self):
         text = describe(random_net(7))

@@ -1158,7 +1158,6 @@ def reference_apply_mode(specs, mode):
         s = out[i]
         if mode == "full" or pos in (0, len(conv_idx) - 1):
             s.kind, s.binarize_weights, s.binarize_input = "conv", False, False
-            s.learned_scale = False
         elif mode == "bwn":
             s.kind, s.binarize_weights, s.binarize_input = "binconv", True, False
         else:
