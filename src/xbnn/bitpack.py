@@ -6,9 +6,10 @@ bit (i mod 64) of word (i // 64). ``words_from_bits`` is the one packer, and
 every layout it builds has zero pad bits past the logical length. So the pad
 bits of two operands cancel under XOR: popcount(a XOR b) counts the
 mismatched signs, and the +-1 dot of two length-n vectors is
-n - 2*popcount(a XOR b). The XNOR layer's channel-major words in
+n - 2*popcount(a XOR b). The XNOR conv's channel-major words in
 ``kernels`` pack each pixel's and each filter tap's channel signs by the same
-rule; they are built per call and never stored.
+rule; they are built per call (a network's conv bank once per forward) and
+never stored.
 """
 
 from __future__ import annotations

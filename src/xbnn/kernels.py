@@ -2,24 +2,27 @@
 tensor), binary-weight convolution (adds/subs plus one scale multiply per
 output), and XNOR convolution (packed XNOR + popcount inner loop).
 
-Both binary paths read receptive fields once per call from ``tensor.windows``,
-the view the batched ``nn`` layers use, and unpack the filter bank once, so
-the input's cost and the beta map are amortized over all filters. The XNOR
-layer packs each pixel's and each filter tap's channel signs with
-``bitpack.words_from_bits``, ceil(c/64) words with zero pad bits, as the file
-layout packs a filter; only the (word, fh, fw) order of the words differs
-from the file's (c, fh, fw). The one-filter BWN function calls the layer
-with a one-filter bank.
+Both binary paths read receptive fields from ``tensor.windows``, the view the
+batched ``nn`` layers use, so the input's cost and the beta map are amortized
+over all filters. ``conv_xnor`` is the one XNOR conv: ``nn.Conv2d`` calls it
+in eval for every 1-bit binarized-input conv, once per image chunk, and
+``conv_xnor_layer`` is its one-image case. It packs each pixel's and each
+filter tap's channel signs with ``bitpack.words_from_bits``, ceil(c/64)
+words with zero pad bits, as the file layout packs a filter; only the (word,
+fh, fw) order of the words differs from the file's (c, fh, fw). This module
+is the only one that knows that word layout: ``pack_bank`` builds a bank's
+words and ``sign_patch_matrix`` an input's. The one-filter BWN function calls
+the layer with a one-filter bank.
 
-The XNOR layer's XOR + popcount loop is C, in ``_xnor.c`` beside this file;
-packing, the beta map and the scaling stay in numpy. The first
-``conv_xnor_layer`` call of a process compiles it with ``cc -O3
--march=native`` into ``_xnor_cache/`` beside this file, under a name keyed
-by the source, the command and the host CPU's model and flags, and loads it
-through ctypes; later processes load the cached library. Importing the
-package builds and loads nothing. Without a working ``cc`` the call raises
-``BuildError`` with the command and the compiler's stderr: there is no
-numpy fallback.
+The XNOR conv's XOR + popcount loop and its scaling by alpha * K are C, in
+``_xnor.c`` beside this file, with a float32 and a float64 entry; packing and
+the beta map stay in numpy. The first XNOR conv of a process compiles it with
+``cc -O3 -march=native`` into ``_xnor_cache/`` beside this file, under a name
+keyed by the source, the command and the host CPU's model and flags, and
+loads it through ctypes; later processes load the cached library. Importing
+the package, training and evaluating a full or bwn net build and load
+nothing. Without a working ``cc`` the call raises ``BuildError`` with the
+command and the compiler's stderr: there is no numpy fallback.
 """
 
 from __future__ import annotations
@@ -41,11 +44,14 @@ from .tensor import ConvGeometry, ShapeError, conv2d_reference, pad_hw, windows
 __all__ = [
     "BuildError",
     "OpCounters",
+    "XnorBank",
     "conv2d_reference",
     "conv_binary_weight",
     "conv_binary_weight_layer",
+    "conv_xnor",
     "conv_xnor_layer",
     "im2col",
+    "pack_bank",
     "sign_patch_matrix",
 ]
 
@@ -85,7 +91,9 @@ def im2col(inp: np.ndarray, geom: ConvGeometry) -> np.ndarray:
 
 
 def sign_patch_matrix(I, geom: ConvGeometry) -> np.ndarray:
-    """Channel-packed sign columns of sign(I): (ceil(c/64)*fh*fw, oh*ow) uint64.
+    """Channel-packed sign columns of sign(I), for one (c, h, w) image or an
+    (N, c, h, w) chunk: (ceil(c/64)*fh*fw, N*oh*ow) uint64, N = 1 for one
+    image, with the columns image by image.
 
     The I >= 0 planes are padded with True (sign(0) = +1 on the border) and
     each pixel's channel vector is packed by ``words_from_bits``, so channel
@@ -94,9 +102,11 @@ def sign_patch_matrix(I, geom: ConvGeometry) -> np.ndarray:
     compensate for the +1 border.
     """
     I = np.asarray(I)
-    planes = words_from_bits(pad_hw(I >= 0, geom.pad, True).transpose(1, 2, 0))  # (H, W, words)
-    win = windows(planes.transpose(2, 0, 1)[None], ConvGeometry(geom.filt_hw, geom.stride))[0]
-    return win.reshape(-1, win.shape[3] * win.shape[4])
+    x = I[None] if I.ndim == 3 else I
+    planes = words_from_bits(pad_hw(x >= 0, geom.pad, True).transpose(0, 2, 3, 1))  # (N, H, W, words)
+    win = windows(planes.transpose(0, 3, 1, 2), ConvGeometry(geom.filt_hw, geom.stride))
+    n, words, fh, fw, oh, ow = win.shape
+    return np.ascontiguousarray(win.transpose(1, 2, 3, 0, 4, 5)).reshape(words * fh * fw, n * oh * ow)
 
 
 def conv_binary_weight(I, f: BinarizedFilter, geom: ConvGeometry,
@@ -190,62 +200,113 @@ def _build() -> Path:
     return lib
 
 
+_ENTRIES = {np.dtype(np.float32): "xnor_conv_f32", np.dtype(np.float64): "xnor_conv_f64"}
+
+
 @cache
-def _mismatch_kernel():
-    """``xnor_mismatches`` from the built library, loaded once per process.
-    Its array arguments refuse a wrong dtype, rank or layout before any
-    pointer reaches C."""
-    fn = ctypes.CDLL(str(_build())).xnor_mismatches
+def _xnor_kernels() -> dict:
+    """The built library's XNOR conv entry for each result dtype, loaded
+    once per process. Their array arguments refuse a wrong dtype, rank or
+    layout before any pointer reaches C."""
+    library = ctypes.CDLL(str(_build()))
     words = np.ctypeslib.ndpointer(np.uint64, ndim=2, flags="C_CONTIGUOUS")
-    counts = np.ctypeslib.ndpointer(np.int32, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    fn.argtypes = [words, words, counts, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64]
-    fn.restype = None
-    return fn
+    entries = {}
+    for dtype, name in _ENTRIES.items():
+        fn = getattr(library, name)
+        fn.argtypes = [words, words, np.ctypeslib.ndpointer(dtype, ndim=1, flags="C_CONTIGUOUS"),
+                       np.ctypeslib.ndpointer(dtype, ndim=2, flags="C_CONTIGUOUS"),
+                       np.ctypeslib.ndpointer(dtype, ndim=3, flags=("C_CONTIGUOUS", "WRITEABLE")),
+                       *[ctypes.c_int64] * 5]
+        fn.restype = None
+        entries[dtype] = fn
+    return entries
 
 
-def _xnor_mismatches(cols: np.ndarray, filt: np.ndarray) -> np.ndarray:
-    """(filters, positions) int32 counts of mismatched signs: out[k, p] sums
-    popcount(cols[r, p] ^ filt[k, r]) over the rows r of the (rows,
-    positions) columns and the (filters, rows) filter words."""
-    rows, positions = cols.shape
+def _xnor_conv(cols: np.ndarray, filt: np.ndarray, alphas: np.ndarray, beta: np.ndarray,
+               n: int) -> np.ndarray:
+    """(images, filters, positions) outputs (n - 2m) * (alphas[k] * beta[i, q]),
+    in beta's dtype, float32 or float64: m sums popcount(cols[r, i*positions
+    + q] ^ filt[k, r]) over the rows r of the (rows, images*positions) columns
+    and the (filters, rows) filter words, and n is a window's sign count."""
+    rows, width = cols.shape
     k = filt.shape[0]
-    if filt.shape != (k, rows):
-        raise ShapeError(f"filter words {filt.shape} do not match {rows} column rows")
-    out = np.empty((k, positions), dtype=np.int32)
-    _mismatch_kernel()(cols, filt, out, rows, positions, k)
+    images, positions = beta.shape
+    if filt.shape != (k, rows) or alphas.shape != (k,) or width != images * positions:
+        raise ShapeError(f"filter words {filt.shape}, scales {alphas.shape} and beta map "
+                         f"{beta.shape} do not match columns {cols.shape}")
+    if beta.dtype not in _ENTRIES:
+        raise TypeError(f"the XNOR conv computes float32 or float64, not {beta.dtype}")
+    out = np.empty((images, k, positions), dtype=beta.dtype)
+    _xnor_kernels()[beta.dtype](cols, filt, alphas, beta, out, rows, images, positions, k, n)
     return out
+
+
+@dataclass(frozen=True)
+class XnorBank:
+    """A (K, c, fh, fw) filter bank's signs as XNOR words, and its scales."""
+
+    words: np.ndarray  # (K, ceil(c/64)*fh*fw) uint64, in sign_patch_matrix's row order
+    alphas: np.ndarray  # (K,) per-filter scales
+    shape: tuple  # (K, c, fh, fw)
+
+
+def pack_bank(bits, alphas) -> XnorBank:
+    """The XnorBank of (K, c, fh, fw) boolean or 0/1 sign bits (1 means +1)
+    and (K,) scales: each filter tap's channel signs packed once into the
+    sign columns' (word, fh, fw) row order, with zero pad bits like theirs."""
+    bits = np.asarray(bits)
+    words = words_from_bits(bits.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    return XnorBank(np.ascontiguousarray(words).reshape(len(bits), -1), np.asarray(alphas),
+                    bits.shape)
+
+
+def conv_xnor(x, bank: XnorBank, geom: ConvGeometry, K) -> np.ndarray:
+    """XNOR convolution of an (N, c, h, w) chunk: (sign(x) xnor-conv sign(W))
+    * alpha * K, (N, filters, oh, ow), given the chunk's (N, oh, ow) beta map
+    K.
+
+    The chunk's sign columns span all N*oh*ow positions, so one C call XORs
+    and popcounts every filter's words against them: m mismatched signs per
+    output, whose dot is c*fh*fw - 2*m. The same call scales each dot by
+    alpha * K, in the result dtype of K and the scales, float32 or float64,
+    straight into the output. Every output is an exact integer times that
+    scale, so how a batch is chunked never changes it.
+    """
+    x = np.asarray(x)
+    k, c, fh, fw = bank.shape
+    if x.ndim != 4 or x.shape[1] != c or tuple(geom.filt_hw) != (fh, fw):
+        raise ShapeError(f"input {x.shape} and extent {geom.filt_hw} do not match bank {bank.shape}")
+    oh, ow = geom.out_hw(x.shape[2:])
+    dtype = np.result_type(K, bank.alphas)
+    beta = np.ascontiguousarray(K, dtype=dtype).reshape(len(x), oh * ow)
+    out = _xnor_conv(sign_patch_matrix(x, geom), bank.words, bank.alphas.astype(dtype),
+                     beta, c * fh * fw)
+    return out.reshape(len(x), k, oh, ow)
 
 
 def conv_xnor_layer(
     I, filters: list[BinarizedFilter], geom: ConvGeometry, counters: OpCounters | None = None
 ) -> np.ndarray:
-    """XNOR convolution of a filter bank: (sign(I) xnor-conv sign(W)) * K * alpha.
+    """XNOR convolution of a filter bank over one image: ``conv_xnor`` of
+    the one-image chunk, with float32 scales and beta map.
 
-    All filters share one set of sign columns and one beta map. Each filter
-    tap's channel signs are packed once into the columns' (word, fh, fw)
-    order, with zero pad bits like the columns', so the inner loop is one XOR
-    plus popcount, summed over rows: m mismatched signs per output, whose dot
-    is c*fh*fw - 2*m. Real multiplications only scale each output by beta
-    and alpha. A degenerate filter's output is zeros, and it is not counted
-    in ``counters``. Returns float32 (K, oh, ow).
+    All filters share one set of sign columns and one beta map; the inner
+    loop is one XOR plus popcount per word, summed over rows, and real
+    multiplications only scale each output by beta and alpha. A degenerate
+    filter's output is zeros, and it is not counted in ``counters``. Returns
+    float32 (K, oh, ow).
     """
     I = np.asarray(I)
     bits, alphas = _unpack_filters(I, filters, geom)
-    cols = sign_patch_matrix(I, geom)
+    bank = pack_bank(bits, alphas)
     beta_map = compute_beta_map(I, geom)
     if counters is not None:
         _beta_map_cost(I.shape, geom, counters)
-    k, c, fh, fw = bits.shape
-    # each filter tap's channel words, in the columns' (word, fh, fw) row order
-    filt = words_from_bits(bits.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1).reshape(k, -1)
-    rows, positions = cols.shape
-    mismatches = _xnor_mismatches(np.ascontiguousarray(cols), np.ascontiguousarray(filt))
-    dots = c * fh * fw - 2 * mismatches
+    out = conv_xnor(I[None], bank, geom, beta_map.K[None])[0]
     if counters is not None:
         live = sum(not f.degenerate for f in filters)
-        counters.xnor_word += live * rows * positions
-        counters.popcount_word += live * rows * positions
-        counters.real_mul += 2 * live * positions
-    scale = beta_map.K[None, :, :] * alphas[:, None, None]
-    return dots.reshape(k, *beta_map.K.shape).astype(np.float32) * scale
-
+        words = live * bank.words.shape[1] * beta_map.K.size
+        counters.xnor_word += words
+        counters.popcount_word += words
+        counters.real_mul += 2 * live * beta_map.K.size
+    return out

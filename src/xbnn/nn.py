@@ -1,12 +1,16 @@
 """Layer graph with forward/backward for training binarized CNNs.
 
-Layers operate on batched arrays of shape (N, C, H, W). Convolutions are
-channel-major: ``tensor.windows``, a zero-copy strided view of the padded
-input, gives per image the (C*fh*fw, oh*ow) column matrix with rows in the
-weights' own (c, fh, fw) order, so the forward is one W @ columns product per
-image, written straight into the (N, K, oh, ow) output. A binarized-input
-convolution takes its per-window scale map from ``binarize.window_mean``,
-the beta map the packed kernels use. Convs and pools take their output
+Layers operate on batched arrays of shape (N, C, H, W). Training is dense
+and eval is packed where the maths allows. Convolutions are channel-major:
+``tensor.windows``, a zero-copy strided view of the padded input, gives per
+image the (C*fh*fw, oh*ow) column matrix with rows in the weights' own (c,
+fh, fw) order, so the dense forward is one W @ columns product per image,
+written straight into the (N, K, oh, ow) output. In eval, a conv with
+binarized weights and a 1-bit sign input runs ``kernels.conv_xnor`` instead:
+XNOR + popcount over packed sign words, scaled by alpha * K in the same C
+call, once per image chunk. A binarized-input convolution takes its
+per-window scale map K from ``binarize.window_mean``, the beta map the
+packed kernels use. Convs and pools take their output
 extent, and the pools and ``_col2im`` their window taps, from a
 ``tensor.ConvGeometry``. The forward copies the view into a reused buffer a
 chunk of images at a time (about 1 MiB of columns, so a chunk stays in L2)
@@ -20,8 +24,8 @@ sign function's derivative.
 
 In eval, ``Network.forward`` first works out the eval plan, once per
 forward (``_pool_first``): every layer, in the order eval runs them, mapped
-to its per-batch state, such as a conv's (binarized) weights and a
-BatchNorm's folded scale. It then runs the chain over one chunk of
+to its per-batch state, such as a conv's (binarized) weights or packed
+bank and a BatchNorm's folded scale. It then runs the chain over one chunk of
 ``_EVAL_IMAGES`` images at a time, handing each layer the plan, and writes
 each chunk's result into the output, so only the last layer's output is
 ever built for the whole batch: every layer's eval forward maps each image
@@ -38,7 +42,8 @@ the pool, and so does any other layer, such as BinaryActivation, whose
 sign(NaN) = -1 does not pass NaN on (see ``_pool_first``).
 
 Each binarization rule is written once: the binarized weights alpha *
-sign(W) in ``Conv2d.effective_weights``, whose per-filter alpha comes from
+sign(W) in ``Conv2d.effective_weights`` (an XNOR conv's eval packs the same
+sign(W) and alpha in ``Conv2d.eval_state``), whose per-filter alpha comes from
 ``Conv2d.scales`` (a learned ``alpha`` Param, or else the formula alpha =
 mean|W| in ``binarize.filter_alphas``), the estimator's gate in
 ``_sign_derivative`` (used by ``ste_backward_sign`` and
@@ -59,6 +64,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import kernels
 from .binarize import filter_alphas, quantize_kbit, window_mean
 from .tensor import ConvGeometry, ShapeError, channel_abs_mean, sign, windows
 
@@ -234,32 +240,41 @@ class Conv2d(Layer):
 
     With binarized weights, the conv uses W~ = alpha * sign(W), one alpha per
     filter from ``scales()``: the learned ``alpha`` Param of a learned-scale
-    conv, or else the formula mean|W|. W~ is rebuilt from the real weights
-    once per forward pass (Algorithm-1 ordering): by every train forward,
-    and in eval by the plan, which hands it to every image chunk;
-    ``binarize_count`` counts these, once per forward in both modes. A conv
+    conv, or else the formula mean|W|. W~ (in an XNOR conv's eval, its
+    packed bank) is rebuilt from the real weights once per forward pass
+    (Algorithm-1 ordering): by every train forward, and in eval by the plan,
+    which hands it to every image chunk; ``binarize_count`` counts these,
+    once per forward in both modes. A conv
     loaded from packed bits holds alpha * sign as W, whose mean|W| is alpha.
     With binarized input it quantizes the incoming tensor, computes the
     per-window scale map from the real input, and multiplies it back into
     the conv output; the scale map is treated as a constant in backward.
 
-    Both modes run the channel-major path: per image, W (K, C*fh*fw) @
-    columns (C*fh*fw, oh*ow), in image chunks of about ``_CHUNK_BYTES`` of
-    columns. Each image's product is the same BLAS call whatever the chunk,
-    so the chunk size never changes a result. Where every product is an
-    integer (+-1 inputs times +-1 weights) the output is exact; elsewhere it
-    differs from other summation orders by float rounding only. Train and
-    eval run the same forward, which scales the product W~ @ columns by K,
-    whatever the source of alpha; in eval, ``Network.forward`` hands it one
-    image chunk at a time with the plan's weights, and it never writes its
-    input. A train forward keeps the strided view of the padded input on its
+    An XNOR conv (``xnor``: binarized weights and a 1-bit sign input) runs
+    packed in eval, with or without a plan: ``eval_state`` packs sign(W) and
+    alpha into a ``kernels.XnorBank`` once per forward, and
+    ``kernels.conv_xnor`` computes (sign W . sign x) * alpha * K per image
+    chunk, exactly an integer times that scale, in the conv's result dtype.
+    Every other conv, and every train forward, runs the dense channel-major
+    path: per image, W (K, C*fh*fw) @ columns (C*fh*fw, oh*ow), in image
+    chunks of about ``_CHUNK_BYTES`` of columns, scaled by K where the input
+    is binarized. Each image's product is the same BLAS call whatever the
+    chunk, so the chunk size never changes a result. Where every product is
+    an integer (+-1 inputs times +-1 weights) the output is exact; elsewhere
+    it differs from other summation orders by float rounding only. So an
+    XNOR conv's train and eval outputs differ by float rounding: train sums
+    alpha * sign products, eval scales the integer dot. In eval,
+    ``Network.forward`` hands a conv one image chunk at a time with the
+    plan's state, and it never writes its input.
+
+    A train forward keeps the strided view of the padded input on its
     tape; the backward copies it into a full-batch column matrix and takes
     the gradient w.r.t. W~ from it with one ``tensordot`` gemm. Only mapping
     that gradient back depends on the scale's source: a formula scale goes
     through one broadcast ``weight_gradient`` call, and a learned one gets
     alpha's gradient, sign(W) . dW~ per filter, while W gets the estimator
     applied to alpha * dW~. The input gradient scatters W~.T @ g back with
-    fh*fw strided adds.
+    fh*fw strided adds; ``backward(g, input_grad=False)`` skips it.
 
     ``tensordot`` transposes the columns into a second copy before its gemm.
     One copy in (C*fh*fw, N*oh*ow) order, read transposed by the gemm, would
@@ -305,6 +320,12 @@ class Conv2d(Layer):
             return self.alpha.value
         return filter_alphas(self.weight.value)
 
+    @property
+    def xnor(self) -> bool:
+        """Binarized weights and a 1-bit sign input: eval runs the packed
+        ``kernels.conv_xnor``."""
+        return self.binarize_weights and self.binarize_input and self.k_bits == 1
+
     def effective_weights(self):
         """The tensor the convolution actually uses this step, and its
         per-filter scales (None for full-precision weights)."""
@@ -315,17 +336,36 @@ class Conv2d(Layer):
         alphas = self.scales()
         return alphas[:, None, None, None] * sign(W), alphas
 
+    def eval_state(self):
+        """What an eval forward computes with: an XNOR conv's packed bank of
+        sign(W) and alpha, else ``effective_weights()``."""
+        if not self.xnor:
+            return self.effective_weights()
+        self.binarize_count += 1
+        W, alphas = self.weight.value, self.scales()
+        # the scales in the dtype alpha * sign(W) would have
+        return kernels.pack_bank(W >= 0, alphas.astype(np.result_type(W, alphas), copy=False))
+
     def forward(self, x, train: bool, plan=None):
         x = np.asarray(x)
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise ShapeError(f"expected (N, {self.in_ch}, H, W), got {x.shape}")
-        wtilde, alphas = self.effective_weights() if plan is None else plan[self]
+        if train:
+            state = self.effective_weights()
+        else:
+            state = self.eval_state() if plan is None else plan[self]
 
         K = None
+        if self.binarize_input:
+            K = window_mean(channel_abs_mean(x), self.geom).astype(x.dtype)
+        if self.xnor and not train:
+            self._tape = None
+            return kernels.conv_xnor(x, state, self.geom, K)
+
+        wtilde, alphas = state
         conv_in = x
         pad_value = 0.0
         if self.binarize_input:
-            K = window_mean(channel_abs_mean(x), self.geom).astype(x.dtype)
             conv_in = _quantize(x, self.k_bits)
             # zero padding is quantized like any other input value: sign(0) = +1
             pad_value = float(quantize_kbit(0.0, self.k_bits))
@@ -340,7 +380,7 @@ class Conv2d(Layer):
             self._tape = (x.shape, win, wtilde, alphas, K, x if self.binarize_input else None)
         return out
 
-    def backward(self, g):
+    def backward(self, g, input_grad: bool = True):
         x_shape, win, wtilde, alphas, K, x_pre = self._pop_tape()
         g = np.asarray(g)
 
@@ -352,14 +392,15 @@ class Conv2d(Layer):
         cols = np.ascontiguousarray(win).reshape(n, -1, positions)
         gwtilde = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(wtilde.shape)
 
-        if self.binary_gradient:
-            scale = np.abs(g).max(axis=(1, 2)).reshape(-1, 1, 1)
-            g = scale * sign(g)
-        gcols = np.matmul(wtilde.reshape(self.out_ch, -1).T, g)
-        gx = _col2im(gcols.reshape(win.shape), x_shape, self.geom)
-
-        if self.binarize_input:
-            gx = ste_backward_sign(gx, x_pre, self.ste_variant)
+        gx = None
+        if input_grad:
+            if self.binary_gradient:
+                scale = np.abs(g).max(axis=(1, 2)).reshape(-1, 1, 1)
+                g = scale * sign(g)
+            gcols = np.matmul(wtilde.reshape(self.out_ch, -1).T, g)
+            gx = _col2im(gcols.reshape(win.shape), x_shape, self.geom)
+            if self.binarize_input:
+                gx = ste_backward_sign(gx, x_pre, self.ste_variant)
 
         W = self.weight.value
         if self.learned_scale:
@@ -439,13 +480,15 @@ class BatchNorm2d(Layer):
         out += self.beta.value[None, :, None, None]
         return out
 
-    def backward(self, g):
+    def backward(self, g, input_grad: bool = True):
         xhat, ivar = self._pop_tape()
         g = np.asarray(g)
         m = g.shape[0] * g.shape[2] * g.shape[3]
         buf = g * xhat
         self.gamma.grad = buf.sum(axis=(0, 2, 3)).astype(self.gamma.value.dtype)
         self.beta.grad = g.sum(axis=(0, 2, 3)).astype(self.beta.value.dtype)
+        if not input_grad:
+            return None
         # gx = ivar * (gxhat - sum(gxhat) / m - xhat * sum(gxhat * xhat) / m),
         # finished in place in gxhat
         gxhat = g * self.gamma.value[None, :, None, None]
@@ -581,7 +624,7 @@ _EVAL_IMAGES = 64
 def _pool_first(layers, dtype):
     """The eval plan of a chain of layers, for an input of ``dtype``: every
     layer, in the order its eval forward runs them, mapped to its per-batch
-    state. A Conv2d's state is its ``effective_weights()``, and a
+    state. A Conv2d's state is its ``eval_state()``, and a
     BatchNorm2d's the (mean, a) of its ``eval_affine`` in the dtype it sees;
     other layers have none. A forward works the plan out once, so every
     chunk applies the numbers the pool decision below reads.
@@ -610,7 +653,7 @@ def _pool_first(layers, dtype):
                 np.isfinite(v).all() for v in (mean, a, layer.beta.value))
             dtype = np.result_type(dtype, a)  # what the BatchNorm returns
         elif isinstance(layer, Conv2d):
-            state = layer.effective_weights()
+            state = layer.eval_state()
             dtype = np.result_type(dtype, *(p.value.dtype for p in layer.params()))
         run = run + 1 if rising else 0
         steps.append((layer, state))
@@ -724,14 +767,28 @@ class Network:
         out = self.forward(x, train)
         return out.reshape(out.shape[0], math.prod(out.shape[1:]))  # -1 cannot size an empty batch
 
-    def backward(self, g):
-        """Raises RuntimeError unless the last forward ran in train mode and
-        no backward has consumed it yet: every layer checks its own tape."""
+    def backward(self, g, input_grad: bool = True):
+        """Gradients of every parameter, and the gradient w.r.t. the input.
+
+        With ``input_grad=False`` only the parameter gradients are worked
+        out, and None is returned: the first layer with parameters computes
+        its own gradients and no input gradient, and the layers before it do
+        not run. Raises RuntimeError unless the last forward ran in train
+        mode and no backward has consumed it yet: every layer checks its own
+        tape.
+        """
         g = np.asarray(g)
         if g.ndim == 2:
             g = g.reshape(*g.shape, 1, 1)
-        for layer in reversed(self.layers):
-            g = layer.backward(g)
+        first = -1 if input_grad else next(
+            (i for i, layer in enumerate(self.layers) if layer.params()), len(self.layers))
+        for i, layer in reversed(list(enumerate(self.layers))):
+            if i > first:
+                g = layer.backward(g)
+            elif i == first:
+                g = layer.backward(g, input_grad=False)
+            else:
+                layer._pop_tape()  # no gradient reaches it
         return g
 
     def astype(self, dtype):

@@ -119,7 +119,7 @@ def train_step(net: Network, batch: tuple[np.ndarray, np.ndarray], opt,
     if not np.isfinite(loss):
         norms = {p.name: float(np.abs(p.value).max()) for p in net.params()}
         raise RuntimeError(f"non-finite loss {loss}; param max-abs: {norms}")
-    net.backward(grad)
+    net.backward(grad, input_grad=False)
     opt.step(net.params())
     if clamp:
         clamp_binarized_weights(net)

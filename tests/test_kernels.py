@@ -1,4 +1,5 @@
 import ctypes
+import os
 import shutil
 import subprocess
 import sys
@@ -10,9 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import xbnn
-from xbnn import kernels
+from xbnn import kernels, nn
 from xbnn.binarize import BinarizedFilter, binarize_weights, compute_beta_map
 from xbnn.bitpack import pack, xnor_dot
+from xbnn.cli import load_arch
 from xbnn.kernels import (
     OpCounters,
     conv2d_reference,
@@ -23,6 +25,9 @@ from xbnn.kernels import (
     sign_patch_matrix,
 )
 from xbnn.tensor import ConvGeometry, ShapeError, channel_abs_mean, pad_chw, sign
+
+
+TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy_cnn.cfg"
 
 
 def make_filter(pattern, alpha, shape):
@@ -406,55 +411,105 @@ def mismatch_cases(draw):
 
 
 class TestCompiledMismatches:
+    """The compiled XNOR conv entry, ``kernels._xnor_conv``: its counts
+    against the numpy loop it replaced, and the scaling fused behind them."""
+
     @given(mismatch_cases())
     @settings(max_examples=200, deadline=None)
     def test_counts_equal_numpy_loop(self, case):
-        # the layer's own operands and counts, taken at the compiled call
+        # the layer's own operands and outputs, taken at the compiled call
         I, filters, geom = case
         calls = []
 
-        def spy(cols, filt):
-            out = compiled(cols, filt)
-            calls.append((cols, filt, out))
+        def spy(cols, filt, alphas, beta, n):
+            out = compiled(cols, filt, alphas, beta, n)
+            calls.append((cols, filt, alphas, beta, n, out))
             return out
 
-        compiled = kernels._xnor_mismatches
+        compiled = kernels._xnor_conv
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_xnor_mismatches", spy)
+            mp.setattr(kernels, "_xnor_conv", spy)
             conv_xnor_layer(I, filters, geom)
-        [(cols, filt, out)] = calls
+        [(cols, filt, alphas, beta, n, out)] = calls
         np.testing.assert_array_equal(cols, sign_patch_matrix(I, geom))
+        np.testing.assert_array_equal(beta, compute_beta_map(I, geom).K.reshape(1, -1))
+        np.testing.assert_array_equal(alphas, np.array([f.alpha for f in filters], np.float32))
         rows, positions = cols.shape
-        assert out.shape == (len(filters), positions) and out.dtype == np.int32
+        assert n == filters[0].n
+        assert out.shape == (1, len(filters), positions) and out.dtype == np.float32
         # default tiles, 1x1 tiles, three-position tiles, two-filter tiles
         for cap in (TILE_WORDS, 1, 3 * rows, 2 * rows * positions):
-            np.testing.assert_array_equal(out, numpy_mismatches(cols, filt, cap))
+            dots = n - 2 * numpy_mismatches(cols, filt, cap)
+            np.testing.assert_array_equal(out[0], dots.astype(np.float32) * (alphas[:, None] * beta))
 
-    @pytest.mark.parametrize("which", ["cols", "filt"])
+    @staticmethod
+    def _operands(rng):
+        """float32 operands of a two-image, three-position, three-filter call
+        over four rows, and the output buffer, filled with -1."""
+        return {"cols": rng.integers(0, 2**63, size=(4, 6), dtype=np.uint64),
+                "filt": rng.integers(0, 2**63, size=(3, 4), dtype=np.uint64),
+                "alphas": rng.normal(size=3).astype(np.float32),
+                "beta": rng.random((2, 3)).astype(np.float32),
+                "out": np.full((2, 3, 3), -1, dtype=np.float32)}
+
+    @staticmethod
+    def _call(kernel, args):
+        kernel(args["cols"], args["filt"], args["alphas"], args["beta"], args["out"], 4, 2, 3, 3, 256)
+
+    @pytest.mark.parametrize("which", ["cols", "filt", "beta", "out"])
     @pytest.mark.parametrize("bad", ["strided", "fortran", "int64", "1-d"])
     def test_operand_refused_before_the_call(self, which, bad):
         rng = np.random.default_rng(13)
-        good = {"cols": rng.integers(0, 2**63, size=(4, 6), dtype=np.uint64),
-                "filt": rng.integers(0, 2**63, size=(3, 4), dtype=np.uint64)}
-        wide = rng.integers(0, 2**63, size=(8, 12), dtype=np.uint64)[::2, ::2]
+        good = self._operands(rng)
         operand = good[which]
-        operand = {"strided": wide if which == "cols" else wide[:3, :4],
+        wide = np.repeat(np.repeat(operand, 2, axis=0), 2, axis=-1)
+        operand = {"strided": wide[::2, ..., ::2],
                    "fortran": np.asfortranarray(operand),
                    "int64": operand.astype(np.int64),
                    "1-d": operand.ravel()}[bad]
         args = {**good, which: operand}
-        kernel = kernels._mismatch_kernel()
-        out = np.full((3, 6), -1, dtype=np.int32)
         with pytest.raises(ctypes.ArgumentError):
-            kernel(args["cols"], args["filt"], out, 4, 6, 3)
-        assert (out == -1).all()  # nothing ran
-        np.testing.assert_array_equal(kernels._xnor_mismatches(good["cols"], good["filt"]),
-                                      numpy_mismatches(good["cols"], good["filt"]))
+            self._call(kernels._xnor_kernels()[np.dtype(np.float32)], args)
+        assert (args["out"] == -1).all()  # nothing ran
+        dots = 256 - 2 * numpy_mismatches(good["cols"], good["filt"]).reshape(3, 2, 3)
+        want = dots.transpose(1, 0, 2).astype(np.float32) * (
+            good["alphas"][None, :, None] * good["beta"][:, None, :])
+        got = kernels._xnor_conv(good["cols"], good["filt"], good["alphas"], good["beta"], 256)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", ["strided", "float64", "2-d", "read-only-out",
+                                     "float32-operands-float64-entry"])
+    def test_scales_output_and_entry_refused_before_the_call(self, bad):
+        rng = np.random.default_rng(15)
+        args = self._operands(rng)
+        dtype = np.float32
+        if bad == "strided":
+            args["alphas"] = np.repeat(args["alphas"], 2)[::2]
+        elif bad == "float64":
+            args["alphas"] = args["alphas"].astype(np.float64)
+        elif bad == "2-d":
+            args["alphas"] = args["alphas"][None]
+        elif bad == "read-only-out":
+            args["out"].flags.writeable = False
+        else:
+            dtype = np.float64
+        with pytest.raises(ctypes.ArgumentError):
+            self._call(kernels._xnor_kernels()[np.dtype(dtype)], args)
+        assert (args["out"] == -1).all()
 
     def test_filter_rows_must_match_column_rows(self):
-        cols = np.zeros((4, 6), dtype=np.uint64)
-        with pytest.raises(ShapeError):
-            kernels._xnor_mismatches(cols, np.zeros((3, 5), dtype=np.uint64))
+        good = self._operands(np.random.default_rng(16))
+        cols, filt, alphas, beta = (good[k] for k in ("cols", "filt", "alphas", "beta"))
+        for bad in ({"filt": filt[:, :3]}, {"alphas": alphas[:2]}, {"beta": beta[:1]}):
+            args = {"cols": cols, "filt": filt, "alphas": alphas, "beta": beta, **bad}
+            with pytest.raises(ShapeError):
+                kernels._xnor_conv(**args, n=256)
+        with pytest.raises(TypeError, match="float16"):
+            kernels._xnor_conv(cols, filt, alphas.astype(np.float16), beta.astype(np.float16), 256)
+
+
+def toy_xnor_net():
+    return nn.build_network(nn.apply_mode(load_arch(TOY_CFG), "xnor"), (1, 28, 28), seed=0)
 
 
 class TestBuild:
@@ -464,9 +519,9 @@ class TestBuild:
     @pytest.fixture
     def fresh(self, tmp_path, monkeypatch):
         monkeypatch.setattr(kernels, "_CACHE_DIR", tmp_path / "cache")
-        kernels._mismatch_kernel.cache_clear()
+        kernels._xnor_kernels.cache_clear()
         yield monkeypatch
-        kernels._mismatch_kernel.cache_clear()
+        kernels._xnor_kernels.cache_clear()
 
     def _layer_call(self):
         rng = np.random.default_rng(14)
@@ -478,6 +533,16 @@ class TestBuild:
         fresh.setattr(kernels, "_CC", str(tmp_path / "no-such-cc"))
         with pytest.raises(kernels.BuildError, match=f"{tmp_path / 'no-such-cc'} -O3 -march=native"):
             self._layer_call()
+        assert not list((tmp_path / "cache").glob("*"))
+
+    def test_network_eval_without_compiler(self, fresh, tmp_path):
+        # an xnor net's eval has no numpy fallback; its train step needs no library
+        fresh.setattr(kernels, "_CC", str(tmp_path / "no-such-cc"))
+        net = toy_xnor_net()
+        x = np.random.default_rng(18).normal(size=(3, 1, 28, 28)).astype(np.float32)
+        net.forward(x, train=True)
+        with pytest.raises(kernels.BuildError, match="no-such-cc"):
+            net.forward(x, train=False)
         assert not list((tmp_path / "cache").glob("*"))
 
     def test_compile_error_carries_stderr(self, fresh, tmp_path):
@@ -497,6 +562,13 @@ class TestBuild:
         assert other != lib and sorted((tmp_path / "cache").glob("*")) == sorted([lib, other])
         np.testing.assert_array_equal(self._layer_call(), out)
 
+    def test_source_compiles_without_warnings(self, tmp_path):
+        # the build's own command, with every common warning an error
+        cmd = [kernels._CC, *kernels._CFLAGS, "-Wall", "-Wextra", "-Werror", "-std=c11",
+               "-o", str(tmp_path / "xnor.so"), str(kernels._SOURCE)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+
 
 LAZY_SCRIPT = """
 import numpy as np
@@ -504,32 +576,49 @@ import xbnn
 from xbnn import kernels, modelio, nn, train
 from xbnn.cli import load_arch
 
-net = nn.build_network(nn.apply_mode(load_arch({cfg!r}), "xnor"), (1, 28, 28), seed=0)
+net = nn.build_network(nn.apply_mode(load_arch({cfg!r}), {mode!r}), (1, 28, 28), seed=0)
 rng = np.random.default_rng(0)
 batch = (rng.normal(size=(8, 1, 28, 28)).astype(np.float32), rng.integers(0, 10, size=8))
 train.train_step(net, batch, train.Adam(lr=0.01))
-modelio.save(net, {model!r}, pack_binarized=True)
-logits = modelio.load({model!r}).logits(batch[0])
-assert np.isfinite(logits).all()
+if {evaluate!r}:
+    modelio.save(net, {model!r}, pack_binarized=True)
+    logits = modelio.load({model!r}).logits(batch[0])
+    assert np.isfinite(logits).all()
 with open("/proc/self/maps") as fh:
     mapped = "_xnor" in fh.read()
-print(kernels._mismatch_kernel.cache_info().currsize, mapped, kernels._CACHE_DIR.exists())
+print(kernels._xnor_kernels.cache_info().currsize, mapped, kernels._CACHE_DIR.exists())
 """
 
 
-@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="reads /proc/self/maps")
-def test_import_train_and_eval_load_no_library(tmp_path):
-    # a copy of the package, so its cache directory starts absent
+def run_lazy_script(tmp_path, mode, evaluate):
+    """LAZY_SCRIPT's printout, run on a copy of the package whose cache
+    directory starts absent."""
     src = Path(kernels.__file__).parent
     shutil.copytree(src, tmp_path / "xbnn", ignore=shutil.ignore_patterns("_xnor_cache"))
-    cfg = Path(__file__).resolve().parents[1] / "configs" / "toy_cnn.cfg"
-    script = LAZY_SCRIPT.format(cfg=str(cfg), model=str(tmp_path / "m.xbn"))
+    script = LAZY_SCRIPT.format(cfg=str(TOY_CFG), model=str(tmp_path / "m.xbn"), mode=mode,
+                                evaluate=evaluate)
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
-                          text=True, env={"PYTHONPATH": str(tmp_path), "OPENBLAS_NUM_THREADS": "1"},
-                          timeout=120, check=False)
+                          text=True, timeout=120, check=False,
+                          env={"PYTHONPATH": str(tmp_path), "OPENBLAS_NUM_THREADS": "1",
+                               "PATH": os.environ.get("PATH", os.defpath)})  # cc finds cc1 on PATH
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False", "False"]
-    assert not (tmp_path / "xbnn" / "_xnor_cache").exists()
+    return proc.stdout.split(), (tmp_path / "xbnn" / "_xnor_cache").exists()
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="reads /proc/self/maps")
+def test_import_and_train_load_no_library(tmp_path):
+    assert run_lazy_script(tmp_path, "xnor", False) == (["0", "False", "False"], False)
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="reads /proc/self/maps")
+@pytest.mark.parametrize("mode", ["full", "bwn", "xnor"])
+def test_eval_loads_library_for_xnor_nets_only(tmp_path, mode):
+    # an xnor net's eval runs its binarized conv on the compiled kernel
+    printed, cache_made = run_lazy_script(tmp_path, mode, True)
+    if mode == "xnor":
+        assert (printed, cache_made) == (["1", "True", "True"], True)
+    else:
+        assert (printed, cache_made) == (["0", "False", "False"], False)
 
 
 class TestExports:

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from xbnn.binarize import binarize_weights, filter_alphas, window_mean
 from xbnn.cli import load_arch
 from xbnn.kernels import conv_xnor_layer
-from xbnn import nn
+from xbnn import kernels, nn
 from xbnn.nn import (
     BLOCK_ORDERS,
     AvgPool2d,
@@ -29,7 +29,7 @@ from xbnn.nn import (
     ste_backward_sign,
     weight_gradient,
 )
-from xbnn.tensor import ConvGeometry, ShapeError, sign
+from xbnn.tensor import ConvGeometry, ShapeError, channel_abs_mean, conv2d_reference, pad_chw, sign
 from xbnn.train import SGDMomentum, train_step
 
 
@@ -1137,6 +1137,131 @@ class TestEvalSegments:
         # half the first conv's (N, 16, 28, 28) float32 output: the forward
         # holds one image chunk's activations, not the batch's
         assert peak < 256 * 16 * 28 * 28 * 4 // 2
+
+
+# ---------------------------------------------------------------------------
+# the packed eval conv: a 1-bit XNOR conv's eval runs kernels.conv_xnor
+
+
+def integer_first_eval(layer, x):
+    """A 1-bit XNOR conv's eval output, built densely: the integer dots of
+    sign(W) against sign(x), with the zero padding binarized to +1, from the
+    naive conv2d_reference image by image, then float(dot) * (alpha * K) in
+    the conv's result dtype, K being the beta map in x's dtype."""
+    geom = layer.geom
+    dtype = np.result_type(x, *(p.value for p in layer.params()))
+    alphas = layer.scales().astype(dtype)
+    K = window_mean(channel_abs_mean(x), geom).astype(x.dtype).astype(dtype)
+    unpadded = ConvGeometry(geom.filt_hw, geom.stride)
+    out = np.empty((len(x), layer.out_ch, *K.shape[1:]), dtype=dtype)
+    for i, image in enumerate(x):
+        dots = conv2d_reference(sign(pad_chw(image, geom.pad)), sign(layer.weight.value), unpadded)
+        out[i] = dots.astype(np.int64).astype(dtype) * (alphas[:, None, None] * K[i])
+    return out
+
+
+@st.composite
+def xnor_eval_cases(draw):
+    """(layer, x, chunk): a 1-bit XNOR conv with c across the channel words'
+    boundaries, stride 1 or 2, pad 0 to 2, a 1x1, full-extent or other
+    filter, formula or learned scales with a quarter of them 0, float32 or
+    float64 weights and input, exact zeros and all-zero images in the input,
+    and 1 to 7 images run ``chunk`` at a time."""
+    c = draw(st.sampled_from([1, 63, 64, 65, 129]))
+    stride, pad = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    filt = draw(st.sampled_from(["1x1", "full-extent", "any"]))
+    fh, fw = {"1x1": (1, 1), "full-extent": (h, w)}.get(filt, (draw(st.integers(1, 5)),
+                                                               draw(st.integers(1, 5))))
+    assume(fh <= h + 2 * pad and fw <= w + 2 * pad)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out_ch, learned = draw(st.integers(1, 6)), draw(st.booleans())
+    layer = Conv2d(c, out_ch, (fh, fw), stride, pad, binarize_weights=True, binarize_input=True,
+                   learned_scale=learned, rng=rng)
+    w_dtype, x_dtype = (draw(st.sampled_from([np.float32, np.float64])) for _ in range(2))
+    W = rng.normal(size=layer.weight.value.shape)
+    W[rng.random(out_ch) < 0.25] = 0.0  # alpha = mean|W| = 0
+    layer.weight.value = W.astype(w_dtype)
+    if learned:
+        alpha = rng.normal(size=out_ch)
+        alpha[rng.random(out_ch) < 0.25] = 0.0
+        layer.alpha.value = alpha.astype(w_dtype)
+    x = rng.normal(size=(draw(st.integers(1, 7)), c, h, w)).astype(x_dtype)
+    x[rng.random(x.shape) < 0.2] = 0.0  # sign(0) = +1
+    if draw(st.booleans()):
+        x[rng.integers(len(x))] = 0.0  # K = 0 over the whole image
+    return layer, x, draw(st.integers(1, 4))
+
+
+class TestPackedEvalConv:
+    @settings(max_examples=200, deadline=None)
+    @given(xnor_eval_cases())
+    def test_equals_integer_first_oracle(self, case):
+        layer, x, chunk = case
+        want = integer_first_eval(layer, x)
+        calls = []
+        conv_xnor = kernels.conv_xnor
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "_EVAL_IMAGES", chunk)
+            mp.setattr(kernels, "conv_xnor", lambda *a: calls.append(len(a[0])) or conv_xnor(*a))
+            planned = Network([layer], x.shape[1:]).forward(x, train=False)
+            alone = layer.forward(x, train=False)
+        # one packed call per image chunk, and one for the whole batch alone
+        assert calls == [min(chunk, len(x) - i) for i in range(0, len(x), chunk)] + [len(x)]
+        for got in (planned, alone):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("flags", [{"binarize_weights": True},
+                                       {"binarize_weights": True, "binarize_input": True,
+                                        "k_bits": 2},
+                                       {"binarize_input": True}],
+                             ids=["bwn", "2-bit-input", "real-weights"])
+    def test_other_convs_keep_the_dense_product(self, flags, monkeypatch):
+        layer = Conv2d(3, 4, (3, 3), pad=1, rng=np.random.default_rng(40), **flags)
+        monkeypatch.setattr(kernels, "conv_xnor", None)  # any call would fail
+        x = np.random.default_rng(41).normal(size=(3, 3, 6, 6)).astype(np.float32)
+        np.testing.assert_array_equal(Network([layer], (3, 6, 6)).forward(x, train=False),
+                                      layer.forward(x, train=False))
+
+
+class TestParameterOnlyBackward:
+    @pytest.mark.parametrize("arch", ["toy", "batchnorm-first"])
+    def test_parameter_gradients_equal_the_full_backward(self, arch, monkeypatch):
+        if arch == "toy":
+            net = toy_xnor_net()
+        else:  # a ReLU ahead of the first layer that has parameters
+            rng = np.random.default_rng(42)
+            net = Network([ReLU(), BatchNorm2d(1),
+                           Conv2d(1, 3, (3, 3), pad=1, binarize_weights=True,
+                                  binarize_input=True, rng=rng),
+                           BatchNorm2d(3), ReLU(), MaxPool2d(2), Conv2d(3, 2, (4, 4), rng=rng)],
+                          (1, 8, 8))
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=(5, *net.input_shape)).astype(np.float32)
+        g = rng.normal(size=(5, 10 if arch == "toy" else 2)).astype(np.float32)
+        col2im_calls, col2im = [], nn._col2im
+        monkeypatch.setattr(nn, "_col2im", lambda *a: col2im_calls.append(1) or col2im(*a))
+        grads, calls = {}, {}
+        for input_grad in (True, False):
+            del col2im_calls[:]
+            net.forward(x, train=True)
+            gx = net.backward(g, input_grad=input_grad)
+            assert (gx is None) != input_grad
+            assert all(layer._tape is None for layer in net.layers)  # every tape consumed
+            grads[input_grad] = [p.grad.copy() for p in net.params()]
+            calls[input_grad] = len(col2im_calls)
+        for a, b in zip(grads[True], grads[False]):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        # the toy net's first conv scatters no input gradient
+        assert calls[True] - calls[False] == (1 if arch == "toy" else 0)
+        if arch == "batchnorm-first":
+            net.forward(x, train=True)
+            monkeypatch.setattr(net.layers[0], "backward", None)  # the ReLU does not run
+            net.backward(g, input_grad=False)
+            with pytest.raises(RuntimeError, match="without a train-mode forward"):
+                net.backward(g, input_grad=False)
 
 
 def first_conv_input_hw(net):
